@@ -13,57 +13,3 @@ Library layout:
 """
 
 __version__ = "0.1.0"
-
-from .signals import (
-    GenConfig,
-    LabeledExample,
-    ParameterSet,
-    load_dataset,
-    make_dataset,
-    make_example,
-    save_dataset,
-    synthesize,
-)
-from .quantize import Quantizer, bussgang_gain, bussgang_linearize, make_quantizer
-from .losses import LossVector, chamfer, detection_loss, effective_loss, multi_mse, normalized_chamfer
-from .thresholds import (
-    ThresholdSet,
-    amplitude_threshold,
-    detection_threshold,
-    frequency_threshold,
-    phase_threshold,
-    threshold_set,
-)
-from .classical import aic_mdl_detect, classical_estimate, pick_peaks, zero_padded_dft
-from .signalnet import (
-    SignalNetModel,
-    SinusoidEstimator,
-    TrainConfig,
-    build_baseline,
-    build_block_network,
-    build_detection_network,
-    build_estimator,
-    forward_estimator,
-    load_signalnet,
-    reconstruct,
-    save_signalnet,
-    signalnet_infer,
-    train_baseline,
-    train_detection,
-    train_estimator,
-)
-
-__all__ = [
-    "GenConfig", "LabeledExample", "ParameterSet", "Quantizer",
-    "SignalNetModel", "SinusoidEstimator", "ThresholdSet", "TrainConfig",
-    "LossVector", "aic_mdl_detect", "amplitude_threshold", "build_baseline",
-    "build_block_network", "build_detection_network", "build_estimator",
-    "bussgang_gain", "bussgang_linearize", "chamfer", "classical_estimate",
-    "detection_loss", "detection_threshold", "effective_loss",
-    "forward_estimator", "frequency_threshold", "load_dataset",
-    "load_signalnet", "make_dataset", "make_example", "make_quantizer",
-    "multi_mse", "normalized_chamfer", "phase_threshold", "pick_peaks",
-    "reconstruct", "save_dataset", "save_signalnet",
-    "signalnet_infer", "synthesize", "threshold_set", "train_baseline",
-    "train_detection", "train_estimator", "zero_padded_dft",
-]

@@ -3,7 +3,7 @@
 Subcommands
 -----------
 * ``generate``   write a labeled dataset file pair
-* ``train``      train detection / estimator / baseline models (or a bundle)
+* ``train``      train a detection or estimator model, or a bundle of both
 * ``eval``       SNR sweep of selected algorithms -> metrics CSV
 * ``ood``        paired in-distribution / out-of-distribution estimator sweep
 * ``thresholds`` print the analytic learning thresholds as CSV
@@ -28,25 +28,26 @@ from . import __version__
 from .classical import aic_mdl_detect, classical_estimate
 from .losses import LossVector, detection_loss, normalized_chamfer
 from .quantize import make_quantizer
-from .signals import GenConfig, make_dataset, save_dataset
+from .signals import (GenConfig, ParameterSet, load_dataset, make_dataset,
+                      save_dataset)
 from .signalnet import (
     TrainConfig,
     SignalNetModel,
-    build_baseline,
     detect_count_batch,
     estimator_forward_batch,
     load_estimator,
     load_signalnet,
     save_estimator,
     save_network,
+    save_signalnet,
     signalnet_infer_batch,
-    train_baseline,
     train_detection,
     train_estimator,
 )
 from .thresholds import (
     amplitude_threshold,
     detection_threshold,
+    estimation_thresholds,
     frequency_threshold,
     mean_frequency_estimator,
     phase_threshold,
@@ -62,6 +63,10 @@ CLASSICAL_ALGORITHMS = ["periodogram", "aic", "mdl", "aic_periodogram"]
 _TAG_EVAL = 3000
 _TAG_OOD = 3100
 _TAG_TRAIN_LOOP = 4242
+
+# frames drawn for training when --samples is not given
+DETECTION_SAMPLES = 50_000
+ESTIMATOR_SAMPLES = 100_000
 
 
 # --------------------------------------------------------------------------
@@ -139,13 +144,17 @@ def _bits_list(text: str) -> list[int]:
     return vals
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple]):
+def _csv_text(header: list[str], rows: list[tuple]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_cell_str(v) for v in row])
-    Path(path).write_text(buf.getvalue())
+    return buf.getvalue()
+
+
+def _write_csv(path: str, header: list[str], rows: list[tuple]):
+    Path(path).write_text(_csv_text(header, rows))
 
 
 def _cell_str(v) -> str:
@@ -197,7 +206,7 @@ def cmd_generate(args) -> int:
 # train
 # --------------------------------------------------------------------------
 
-def _train_config(args, task: str) -> TrainConfig:
+def _train_config(args) -> TrainConfig:
     cfg = TrainConfig(seed=_train_loop_seed(args.seed))
     if args.lr is not None:
         cfg.lr = args.lr
@@ -208,21 +217,37 @@ def _train_config(args, task: str) -> TrainConfig:
     if args.patience is not None:
         cfg.patience = args.patience
     if args.epochs is not None:
-        if task == "detection":
-            cfg.detection_epochs = args.epochs
-        else:
-            cfg.estimator_epochs = args.epochs
-    if args.samples is not None:
-        cfg.detection_samples = args.samples
-        cfg.estimator_samples = args.samples
+        cfg.detection_epochs = cfg.estimator_epochs = args.epochs
     return cfg
 
 
-def _training_data(args, count: int, m_fixed: int | None):
+def _train_examples(args, m_fixed: int | None):
+    """Training frames: --data filtered to count m_fixed, or --samples fresh
+    frames (default DETECTION_SAMPLES / ESTIMATOR_SAMPLES)."""
+    if args.data is not None:
+        _, examples = load_dataset(args.data)
+        if m_fixed is not None:
+            examples = [ex for ex in examples if ex.label.m == m_fixed]
+            if not examples:
+                raise ValueError(
+                    f"dataset {args.data} has no examples with m={m_fixed}")
+        return examples
+    count = args.samples
+    if count is None:
+        count = DETECTION_SAMPLES if m_fixed is None else ESTIMATOR_SAMPLES
     gen = GenConfig(N=args.frame_len, M=args.m_max, bits=args.bits_int,
                     seed=args.seed, m_fixed=m_fixed,
                     snr_range=(args.snr_min, args.snr_max))
     return make_dataset(gen, count)
+
+
+def _train_model(args, cfg: TrainConfig, m: int | None):
+    """Trains the count detector (m None) or the m-sinusoid chain; returns
+    (model, history)."""
+    examples = _train_examples(args, m)
+    if m is None:
+        return train_detection(examples, cfg, M=args.m_max)
+    return train_estimator(examples, cfg, residual_mode=args.residual_mode)
 
 
 def _write_log(path: str, history: list[dict]):
@@ -232,76 +257,34 @@ def _write_log(path: str, history: list[dict]):
 
 
 def cmd_train(args) -> int:
-    task = args.task
-    cfg = _train_config(args, task)
-    if task == "detection":
-        examples = _train_examples(args, cfg.detection_samples, None)
-        net, history = train_detection(examples, cfg, M=args.m_max)
-        save_network(net, args.out,
-                     meta={"task": "detection", "bits": args.bits_int,
-                           "N": args.frame_len, "M": args.m_max})
-        _write_log(args.out + ".log.csv", history)
-    elif task == "estimator":
-        if args.m is None:
-            raise ValueError("--m is required for --task estimator")
-        examples = _train_examples(args, cfg.estimator_samples, args.m)
-        est, history = train_estimator(examples, cfg,
-                                       residual_mode=args.residual_mode)
-        save_estimator(est, args.out, bits=args.bits_int)
-        _write_log(args.out + ".log.csv", history)
-    elif task == "baseline":
-        if args.m is None:
-            raise ValueError("--m is required for --task baseline")
-        examples = _train_examples(args, cfg.estimator_samples, args.m)
-        net, history = train_baseline(examples, cfg, kind=args.baseline_kind)
-        save_network(net, args.out,
-                     meta={"task": "baseline", "kind": args.baseline_kind,
-                           "bits": args.bits_int, "m": args.m,
-                           "N": args.frame_len})
-        _write_log(args.out + ".log.csv", history)
-    elif task == "bundle":
+    cfg = _train_config(args)
+    if args.task == "bundle":
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        examples = _train_examples(args, cfg.detection_samples, None)
-        det, history = train_detection(examples, cfg, M=args.m_max)
+        det, history = _train_model(args, cfg, None)
         _write_log(str(out / "train_detection.log.csv"), history)
         estimators = {}
         for m in range(1, args.m_max + 1):
-            examples = _train_examples(args, cfg.estimator_samples, m)
-            est, history = train_estimator(examples, cfg,
-                                           residual_mode=args.residual_mode)
-            estimators[m] = est
+            estimators[m], history = _train_model(args, cfg, m)
             _write_log(str(out / f"train_est_m{m}.log.csv"), history)
         model = SignalNetModel(detection=det, estimators=estimators,
                                N=args.frame_len, M=args.m_max,
                                bits=args.bits_int)
-        manifest = save_signalnet_bundle(model, out)
-        print(f"wrote {manifest}")
+        print(f"wrote {save_signalnet(model, out)}")
         return 0
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown task {task!r}")
+    if args.task == "detection":
+        net, history = _train_model(args, cfg, None)
+        save_network(net, args.out,
+                     meta={"task": "detection", "bits": args.bits_int,
+                           "N": args.frame_len, "M": args.m_max})
+    else:
+        if args.m is None:
+            raise ValueError("--m is required for --task estimator")
+        est, history = _train_model(args, cfg, args.m)
+        save_estimator(est, args.out, bits=args.bits_int)
+    _write_log(args.out + ".log.csv", history)
     print(f"wrote {args.out} ({len(history)} epochs trained)")
     return 0
-
-
-def save_signalnet_bundle(model: SignalNetModel, out: Path):
-    from .signalnet import save_signalnet
-
-    return save_signalnet(model, out)
-
-
-def _train_examples(args, count: int, m_fixed: int | None):
-    if args.data is not None:
-        from .signals import load_dataset
-
-        meta, examples = load_dataset(args.data)
-        if m_fixed is not None:
-            examples = [ex for ex in examples if ex.label.m == m_fixed]
-            if not examples:
-                raise ValueError(
-                    f"dataset {args.data} has no examples with m={m_fixed}")
-        return examples
-    return _training_data(args, count, m_fixed)
 
 
 # --------------------------------------------------------------------------
@@ -324,44 +307,30 @@ def _estimator_metrics(A, F, P, At, Ft, Pt, thr: LossVector):
         "amp_mse_db": _db(float(np.mean((A - At) ** 2))),
         "phase_mse": float(np.mean((P - Pt) ** 2)),
     }
+    m = A.shape[1]
     cham = [
-        normalized_chamfer_sets(At[i], Ft[i], Pt[i], A[i], F[i], P[i], thr)
+        normalized_chamfer(
+            ParameterSet(m=m, amps=At[i], freqs=Ft[i], phases=Pt[i]),
+            ParameterSet(m=m, amps=A[i], freqs=F[i], phases=P[i]), thr)
         for i in range(len(A))
     ]
     rows["chamfer_norm"] = float(np.mean(cham))
     return rows
 
 
-def normalized_chamfer_sets(at, ft, pt, a, f, p, thr: LossVector) -> float:
-    from .signals import ParameterSet
-
-    truth = ParameterSet(m=len(ft), amps=at, freqs=ft, phases=pt)
-    est = ParameterSet(m=len(f), amps=a, freqs=f, phases=p)
-    return normalized_chamfer(truth, est, thr)
-
-
 def _threshold_rows(args, bits: int, snr: float) -> list[tuple]:
     rows = []
-    amp_thr = amplitude_threshold()[1]
-    phase_thr = phase_threshold()[1]
     for m in range(1, args.m_max + 1):
-        f_thr = frequency_threshold(m, args.frame_len)
-        rows.append(("threshold", bits, m, snr, "freq_mse_db", _db(f_thr), 1,
-                     args.seed))
-        rows.append(("threshold", bits, m, snr, "amp_mse_db", _db(amp_thr), 1,
-                     args.seed))
-        rows.append(("threshold", bits, m, snr, "phase_mse", phase_thr, 1,
-                     args.seed))
+        thr = estimation_thresholds(m, args.frame_len)
+        for metric, value in (("freq_mse_db", _db(thr.freq)),
+                              ("amp_mse_db", _db(thr.amp)),
+                              ("phase_mse", thr.phase)):
+            rows.append(("threshold", bits, m, snr, metric, value, 1,
+                         args.seed))
     det_loss = detection_threshold(args.m_max)[1]
     rows.append(("threshold", bits, "joint", snr, "detection_loss", det_loss,
                  1, args.seed))
     return rows
-
-
-def _chamfer_thresholds(m: int, N: int) -> LossVector:
-    return LossVector(amp=amplitude_threshold()[1],
-                      freq=frequency_threshold(m, N),
-                      phase=phase_threshold()[1])
 
 
 def cmd_eval(args) -> int:
@@ -422,7 +391,7 @@ def _eval_estimator_cell(args, bits, m, snr, qspec, bundle, algorithms):
         return rows
     examples = _cell_examples(args, bits, m, snr, _TAG_EVAL)
     X, At, Ft, Pt = _truth_arrays(examples)
-    thr = _chamfer_thresholds(m, args.frame_len)
+    thr = estimation_thresholds(m, args.frame_len)
     n = len(examples)
     if "periodogram" in wanted:
         est_a = np.empty_like(At)
@@ -483,7 +452,7 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, algorithms):
                      n, args.seed))
         cham = [
             normalized_chamfer(ex.label, sets[i],
-                               _chamfer_thresholds(ex.label.m, args.frame_len))
+                               estimation_thresholds(ex.label.m, args.frame_len))
             for i, ex in enumerate(examples)
         ]
         rows.append(("signalnet", bits, "joint", snr, "chamfer_norm",
@@ -495,7 +464,7 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, algorithms):
             ps = classical_estimate(ex.x, int(pred[i]), qspec=qspec,
                                     nfft=args.nfft, peak_mode=args.peak_mode)
             cham.append(normalized_chamfer(
-                ex.label, ps, _chamfer_thresholds(ex.label.m, args.frame_len)))
+                ex.label, ps, estimation_thresholds(ex.label.m, args.frame_len)))
         rows.append(("aic_periodogram", bits, "joint", snr, "chamfer_norm",
                      float(np.mean(cham)), n, args.seed))
     return rows
@@ -520,7 +489,7 @@ def cmd_ood(args) -> int:
                                       freq_mode=mode)
             X, At, Ft, Pt = _truth_arrays(examples)
             A, F, P = estimator_forward_batch(est, X)
-            thr = _chamfer_thresholds(args.m, args.frame_len)
+            thr = estimation_thresholds(args.m, args.frame_len)
             metrics = _estimator_metrics(A.astype(np.float64),
                                          F.astype(np.float64),
                                          P.astype(np.float64),
@@ -551,13 +520,8 @@ def cmd_thresholds(args) -> int:
                      ";".join(repr(float(v)) for v in mean_vec)))
     rows.append(("amplitude", "", amp_thr, _db(amp_thr), amp_mean))
     rows.append(("phase", "", phase_thr, "", phase_mean))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["task", "m", "threshold", "threshold_db",
-                     "constant_estimate"])
-    for row in rows:
-        writer.writerow([_cell_str(v) for v in row])
-    text = buf.getvalue()
+    text = _csv_text(["task", "m", "threshold", "threshold_db",
+                      "constant_estimate"], rows)
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(text)
@@ -604,7 +568,7 @@ def build_parser() -> _Parser:
     t = sub.add_parser("train", help="train models")
     _add_shared(t)
     t.add_argument("--task", required=True,
-                   choices=["detection", "estimator", "baseline", "bundle"])
+                   choices=["detection", "estimator", "bundle"])
     t.add_argument("--out", required=True,
                    help="checkpoint path (directory for --task bundle)")
     t.add_argument("--data", default=None,
@@ -618,7 +582,6 @@ def build_parser() -> _Parser:
     t.add_argument("--patience", type=int, default=None)
     t.add_argument("--residual-mode", default="stop_gradient",
                    choices=["stop_gradient", "differentiable"])
-    t.add_argument("--baseline-kind", default="conv", choices=["mlp", "conv"])
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="SNR sweep -> metrics CSV")

@@ -12,9 +12,8 @@ Two model families built on the :mod:`qsine.nn` engine:
   a phase head off the first conv stage, and an unnormalized branch
   (amplitude head) so amplitude scale survives.
 
-Both trainers share an early-stopping loop with validation-driven learning
-rate reduction and best-weights restore. Parameter-matched MLP/conv
-baselines are provided for capacity-fair comparisons.
+Both are trained by one epoch loop with validation-driven learning rate
+reduction, early stopping and best-weights restore.
 """
 from __future__ import annotations
 
@@ -35,15 +34,15 @@ from .nn import (
     MaxPool1D,
     Network,
 )
+from .losses import LossVector, detection_loss, effective_loss
 from .nn.checkpoint import load_chain, load_network, save_chain, save_network
 from .signals import TWO_PI, LabeledExample, ParameterSet, substream
-from .thresholds import amplitude_threshold, frequency_threshold, phase_threshold
+from .thresholds import estimation_thresholds
 
 _TAG_SPLIT = 7000
 _TAG_EPOCH = 7001
 _TAG_DETECT_NET = 11
 _TAG_BLOCK_NET = 13
-_TAG_BASELINE = 17
 
 
 # --------------------------------------------------------------------------
@@ -256,9 +255,7 @@ class TrainConfig:
     lr: float = 1e-3
     batch_size: int = 32
     detection_epochs: int = 20
-    detection_samples: int = 50_000
     estimator_epochs: int = 60
-    estimator_samples: int = 100_000
     val_fraction: float = 0.1
     patience: int = 8
     lr_patience: int = 4
@@ -291,22 +288,34 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
             yield idx
 
 
-def _fit(cfg: TrainConfig, epochs: int, n_train: int, run_epoch, eval_val,
-         snapshot, restore, adam: Adam):
-    """Shared epoch loop: LR reduction and early stop on validation loss."""
+def _fit(cfg: TrainConfig, epochs: int, tr: np.ndarray, batch_grads, eval_val,
+         nets: list[Network], adam: Adam):
+    """The training loop: shuffled minibatches of the training rows `tr`,
+    LR reduction and early stop on validation loss, and the best-validation
+    weights of `nets` restored at the end.
+
+    batch_grads(rows) returns (mean loss, grads) for those rows; eval_val()
+    returns the validation loss."""
     history = []
     best = np.inf
     best_snap = None
     lr_wait = stop_wait = 0
     for epoch in range(epochs):
         rng = substream(cfg.seed, _TAG_EPOCH, epoch)
-        train_loss = run_epoch(rng)
+        total = weight = 0.0
+        for idx in _epoch_batches(len(tr), cfg.batch_size, rng):
+            b = tr[idx]
+            loss, grads = batch_grads(b)
+            adam.step(grads)
+            total += loss * len(b)
+            weight += len(b)
+        train_loss = total / weight
         val_loss = eval_val()
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "val_loss": val_loss, "lr": adam.lr})
         if val_loss < best - 1e-7:
             best = val_loss
-            best_snap = snapshot()
+            best_snap = [net.snapshot() for net in nets]
             lr_wait = stop_wait = 0
         else:
             lr_wait += 1
@@ -317,7 +326,8 @@ def _fit(cfg: TrainConfig, epochs: int, n_train: int, run_epoch, eval_val,
                 adam.lr *= cfg.lr_factor
                 lr_wait = 0
     if best_snap is not None:
-        restore(best_snap)
+        for net, snap in zip(nets, best_snap):
+            net.restore(snap)
     return history
 
 
@@ -349,8 +359,6 @@ def _expected_count_loss(probs: np.ndarray, counts: np.ndarray):
     expected count keeps the push and pull on every class at comparable
     scale, which is what lets the classifier become input-dependent.
     """
-    from .losses import detection_loss
-
     ks = np.arange(1.0, probs.shape[-1] + 1.0)
     mbar = probs.astype(np.float64) @ ks
     m = counts.astype(np.float64)
@@ -360,12 +368,11 @@ def _expected_count_loss(probs: np.ndarray, counts: np.ndarray):
     return loss, dprobs
 
 
-def detection_batch_grads(net: Network, X: np.ndarray, counts: np.ndarray,
-                          M: int, train: bool = True):
-    """One forward/backward of the detection training loss; returns
+def detection_batch_grads(net: Network, X: np.ndarray, counts: np.ndarray):
+    """One training-mode forward/backward of the detection loss; returns
     (loss, named grads). Gradients are left on the network."""
     net.zero_grads()
-    vals = net.forward(X, train=train)
+    vals = net.forward(X, train=True)
     probs = vals["probs"]
     loss, dprobs = _expected_count_loss(probs, counts)
     net.backward({"probs": dprobs.astype(probs.dtype)}, input_grad=False)
@@ -394,20 +401,10 @@ def train_detection(examples: list[LabeledExample], cfg: TrainConfig,
         net = build_detection_network(N=N, M=M, seed=cfg.seed)
     tr, va = _split(len(X), cfg)
     adam = Adam(net.named_params(), lr=cfg.lr)
-
-    def run_epoch(rng):
-        total = weight = 0.0
-        for idx in _epoch_batches(len(tr), cfg.batch_size, rng):
-            b = tr[idx]
-            loss, grads = detection_batch_grads(net, X[b], counts[b], M, train=True)
-            adam.step(grads)
-            total += loss * len(b)
-            weight += len(b)
-        return total / weight
-
-    history = _fit(cfg, cfg.detection_epochs, len(tr), run_epoch,
+    history = _fit(cfg, cfg.detection_epochs, tr,
+                   lambda b: detection_batch_grads(net, X[b], counts[b]),
                    lambda: _detection_loss_eval(net, X[va], counts[va]),
-                   net.snapshot, net.restore, adam)
+                   [net], adam)
     return net, history
 
 
@@ -429,26 +426,20 @@ def detect_count(net: Network, x: np.ndarray) -> int:
 # estimator training
 # --------------------------------------------------------------------------
 
-def _effective_loss_terms(m: int, N: int):
-    thr_a = amplitude_threshold()[1]
-    thr_f = frequency_threshold(m, N)
-    thr_p = phase_threshold()[1]
-    return thr_a, thr_f, thr_p
-
-
-def _eff_loss_and_head_grads(A, F, P, At, Ft, Pt, thr):
-    thr_a, thr_f, thr_p = thr
+def _eff_loss_and_head_grads(A, F, P, At, Ft, Pt, thr: LossVector):
+    """effective_loss of the per-head MSEs, and its gradients w.r.t. A, F, P."""
     B, m = A.shape
     da, df, dp = A - At, F - Ft, P - Pt
-    loss = (np.mean(da**2) / thr_a + np.mean(df**2) / thr_f
-            + np.mean(dp**2) / thr_p) / m
+    loss = effective_loss((np.mean(da**2), np.mean(df**2), np.mean(dp**2)),
+                          thr, m)
     scale = 2.0 / (B * m * m)
-    return float(loss), (scale / thr_a) * da, (scale / thr_f) * df, (scale / thr_p) * dp
+    return (float(loss), (scale / thr.amp) * da, (scale / thr.freq) * df,
+            (scale / thr.phase) * dp)
 
 
-def estimator_batch_grads(est: SinusoidEstimator, X, At, Ft, Pt,
-                          train: bool = True):
-    """Forward/backward of the threshold-normalized loss through the chain.
+def estimator_batch_grads(est: SinusoidEstimator, X, At, Ft, Pt):
+    """Training-mode forward/backward of the threshold-normalized loss
+    through the chain.
 
     Returns (loss, grads) with grads keyed "b{k}.{node}.{param}". In
     stop_gradient mode each block is differentiated against its own heads
@@ -458,8 +449,8 @@ def estimator_batch_grads(est: SinusoidEstimator, X, At, Ft, Pt,
     for net in est.blocks:
         net.zero_grads()
     inputs: list = []
-    A, F, P = _forward_chain(est, X, train=train, inputs=inputs)
-    thr = _effective_loss_terms(est.m, est.N)
+    A, F, P = _forward_chain(est, X, train=True, inputs=inputs)
+    thr = estimation_thresholds(est.m, est.N)
     loss, dA, dF, dP = _eff_loss_and_head_grads(
         A.astype(np.float64), F.astype(np.float64), P.astype(np.float64),
         At, Ft, Pt, thr)
@@ -501,7 +492,7 @@ def _chain_params(est: SinusoidEstimator) -> dict[str, np.ndarray]:
 
 def _eval_estimator_loss(est: SinusoidEstimator, X, At, Ft, Pt,
                          chunk: int = 2048) -> float:
-    thr = _effective_loss_terms(est.m, est.N)
+    thr = estimation_thresholds(est.m, est.N)
     total = 0.0
     for i in range(0, len(X), chunk):
         A, F, P = _forward_chain(est, X[i : i + chunk], train=False)
@@ -528,146 +519,11 @@ def train_estimator(examples: list[LabeledExample], cfg: TrainConfig,
         est = build_estimator(m, N=N, seed=cfg.seed, residual_mode=residual_mode)
     tr, va = _split(len(X), cfg)
     adam = Adam(_chain_params(est), lr=cfg.lr)
-
-    def run_epoch(rng):
-        total = weight = 0.0
-        for idx in _epoch_batches(len(tr), cfg.batch_size, rng):
-            b = tr[idx]
-            loss, grads = estimator_batch_grads(est, X[b], At[b], Ft[b], Pt[b])
-            adam.step(grads)
-            total += loss * len(b)
-            weight += len(b)
-        return total / weight
-
-    def snapshot():
-        return [net.snapshot() for net in est.blocks]
-
-    def restore(snaps):
-        for net, snap in zip(est.blocks, snaps):
-            net.restore(snap)
-
-    history = _fit(cfg, cfg.estimator_epochs, len(tr), run_epoch,
+    history = _fit(cfg, cfg.estimator_epochs, tr,
+                   lambda b: estimator_batch_grads(est, X[b], At[b], Ft[b], Pt[b]),
                    lambda: _eval_estimator_loss(est, X[va], At[va], Ft[va], Pt[va]),
-                   snapshot, restore, adam)
+                   est.blocks, adam)
     return est, history
-
-
-# --------------------------------------------------------------------------
-# parameter-matched baselines
-# --------------------------------------------------------------------------
-
-def _mlp_param_count(h: int, N: int, m: int) -> int:
-    d_in, d_out = 2 * N, 3 * m
-    return (d_in * h + h) + (h * h + h) + (h * d_out + d_out)
-
-def _conv_param_count(c: int, N: int, m: int) -> int:
-    d_out = 3 * m
-    return (3 * 2 * c + c) + (3 * c * 2 * c + 2 * c) + ((N // 4) * 2 * c * d_out + d_out)
-
-
-def build_baseline(kind: str, m: int, N: int = 64, seed: int = 0,
-                   target_params: int | None = None) -> Network:
-    """MLP or two-stage conv regressor with ~the same parameter count as the
-    m-block residual chain (within 10%); output node "out" stacks the m
-    amplitudes, then frequencies, then phases."""
-    if target_params is None:
-        target_params = build_estimator(m, N=N, seed=0).param_count()
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_BASELINE]))
-    d_out = 3 * m
-    net = Network()
-    if kind == "mlp":
-        counts = [(abs(_mlp_param_count(h, N, m) - target_params), h)
-                  for h in range(1, 2049)]
-        _, h = min(counts)
-        got = _mlp_param_count(h, N, m)
-        net.add("flat", Flatten(), "x")
-        net.add("fc1", Dense(2 * N, h, rng=rng), "flat")
-        net.add("fc1_relu", Activation("relu"), "fc1")
-        net.add("fc2", Dense(h, h, rng=rng), "fc1_relu")
-        net.add("fc2_relu", Activation("relu"), "fc2")
-        net.add("out", Dense(h, d_out, rng=rng), "fc2_relu")
-    elif kind == "conv":
-        counts = [(abs(_conv_param_count(c, N, m) - target_params), c)
-                  for c in range(1, 1025)]
-        _, c = min(counts)
-        got = _conv_param_count(c, N, m)
-        net.add("conv1", Conv1D(2, c, 3, rng=rng), "x")
-        net.add("relu1", Activation("relu"), "conv1")
-        net.add("pool1", MaxPool1D(2), "relu1")
-        net.add("conv2", Conv1D(c, 2 * c, 3, rng=rng), "pool1")
-        net.add("relu2", Activation("relu"), "conv2")
-        net.add("pool2", MaxPool1D(2), "relu2")
-        net.add("flat", Flatten(), "pool2")
-        net.add("out", Dense((N // 4) * 2 * c, d_out, rng=rng), "flat")
-    else:
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    if abs(got - target_params) > 0.1 * target_params:
-        raise ValueError(
-            f"no {kind} width matches {target_params} parameters within 10% "
-            f"(closest {got})")
-    return net
-
-
-def baseline_batch_grads(net: Network, X, At, Ft, Pt, m: int, N: int,
-                         train: bool = True):
-    """Same threshold-normalized loss, direct 3m-way regression head."""
-    net.zero_grads()
-    out = net.forward(np.asarray(X, dtype=np.float32), train=train)["out"]
-    A, F, P = out[:, :m], out[:, m : 2 * m], out[:, 2 * m :]
-    thr = _effective_loss_terms(m, N)
-    loss, dA, dF, dP = _eff_loss_and_head_grads(
-        A.astype(np.float64), F.astype(np.float64), P.astype(np.float64),
-        At, Ft, Pt, thr)
-    dout = np.concatenate([dA, dF, dP], axis=1).astype(np.float32)
-    net.backward({"out": dout}, input_grad=False)
-    return loss, net.named_grads()
-
-
-def baseline_forward_batch(net: Network, X: np.ndarray, m: int,
-                           chunk: int = 4096):
-    A, F, P = [], [], []
-    for i in range(0, len(X), chunk):
-        out = net.forward(np.asarray(X[i : i + chunk], dtype=np.float32),
-                          train=False)["out"]
-        A.append(out[:, :m])
-        F.append(out[:, m : 2 * m])
-        P.append(out[:, 2 * m :])
-    return np.concatenate(A), np.concatenate(F), np.concatenate(P)
-
-
-def train_baseline(examples: list[LabeledExample], cfg: TrainConfig,
-                   kind: str = "conv", net: Network | None = None):
-    """Trains a parameter-matched baseline on fixed-count frames."""
-    X, At, Ft, Pt = estimator_arrays(examples)
-    At, Ft, Pt = (a.astype(np.float64) for a in (At, Ft, Pt))
-    m = At.shape[1]
-    N = X.shape[1]
-    if net is None:
-        net = build_baseline(kind, m, N=N, seed=cfg.seed)
-    tr, va = _split(len(X), cfg)
-    adam = Adam(net.named_params(), lr=cfg.lr)
-
-    def run_epoch(rng):
-        total = weight = 0.0
-        for idx in _epoch_batches(len(tr), cfg.batch_size, rng):
-            b = tr[idx]
-            loss, grads = baseline_batch_grads(net, X[b], At[b], Ft[b], Pt[b], m, N)
-            adam.step(grads)
-            total += loss * len(b)
-            weight += len(b)
-        return total / weight
-
-    def eval_val():
-        thr = _effective_loss_terms(m, N)
-        A, F, P = baseline_forward_batch(net, X[va], m)
-        loss, *_ = _eff_loss_and_head_grads(
-            A.astype(np.float64), F.astype(np.float64), P.astype(np.float64),
-            At[va], Ft[va], Pt[va], thr)
-        return loss
-
-    history = _fit(cfg, cfg.estimator_epochs, len(tr), run_epoch, eval_val,
-                   net.snapshot, net.restore, adam)
-    return net, history
 
 
 # --------------------------------------------------------------------------

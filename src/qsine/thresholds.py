@@ -17,11 +17,10 @@ Tasks and their constants, for the generator in qsine.signals:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import detection_loss
+from .losses import LossVector, detection_loss
 
 _INV_E = math.exp(-1.0)
 
@@ -124,6 +123,16 @@ def phase_threshold() -> tuple[float, float]:
     return math.pi, math.pi**2 / 3.0
 
 
+def estimation_thresholds(m: int, N: int) -> LossVector:
+    """(amp, freq, phase) learning thresholds for count m and frame length N.
+
+    The normalizers of the estimator training loss and of the normalized
+    Chamfer score."""
+    return LossVector(amp=amplitude_threshold()[1],
+                      freq=frequency_threshold(m, N),
+                      phase=phase_threshold()[1])
+
+
 def mean_frequency_estimator(m: int, N: int) -> np.ndarray:
     """Constant frequency vector: entry i = 0.125 + (i-1)/N + E[jitter] (i>1).
 
@@ -137,34 +146,3 @@ def mean_frequency_estimator(m: int, N: int) -> np.ndarray:
     out = 0.125 + idx / N
     out[1:] += jitter
     return out
-
-
-@dataclass(frozen=True)
-class ThresholdSet:
-    """All analytic thresholds for a (M, N) configuration."""
-
-    detection_estimator: float
-    detection_loss_value: float
-    freq_thresholds: np.ndarray  # index m-1 -> threshold for count m
-    amp_threshold: float
-    phase_threshold: float
-    mean_amp: float
-    mean_phase: float
-    mean_freq_vectors: tuple  # index m-1 -> constant estimator vector
-
-
-def threshold_set(M: int, N: int) -> ThresholdSet:
-    """Bundles every threshold the harness and the training losses need."""
-    mhat_star, det_loss = detection_threshold(M)
-    mean_amp, amp_loss = amplitude_threshold()
-    mean_phase, phase_loss = phase_threshold()
-    return ThresholdSet(
-        detection_estimator=mhat_star,
-        detection_loss_value=det_loss,
-        freq_thresholds=np.array([frequency_threshold(m, N) for m in range(1, M + 1)]),
-        amp_threshold=amp_loss,
-        phase_threshold=phase_loss,
-        mean_amp=mean_amp,
-        mean_phase=mean_phase,
-        mean_freq_vectors=tuple(mean_frequency_estimator(m, N) for m in range(1, M + 1)),
-    )

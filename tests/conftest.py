@@ -109,8 +109,7 @@ def _ensure_detection() -> Path:
         CACHE.mkdir(exist_ok=True)
         cfg = GenConfig(bits=3, seed=_DET_DATA_SEED, snr_range=DET_SNR_RANGE)
         examples = make_dataset(cfg, DET_SAMPLES)
-        tcfg = TrainConfig(seed=_TRAIN_SEED, detection_epochs=DET_EPOCHS,
-                           detection_samples=DET_SAMPLES)
+        tcfg = TrainConfig(seed=_TRAIN_SEED, detection_epochs=DET_EPOCHS)
         net, _ = train_detection(examples, tcfg)
         tmp = _tmp_path(path)
         save_network(net, tmp, meta={"task": "detection", "N": 64, "M": 5,
@@ -127,8 +126,7 @@ def _ensure_estimator(m: int, bits: int) -> Path:
         cfg = GenConfig(bits=bits, seed=data_seed, m_fixed=m,
                         snr_range=(-10.0, 10.0))
         examples = make_dataset(cfg, EST_SAMPLES)
-        tcfg = TrainConfig(seed=_TRAIN_SEED, estimator_epochs=EST_EPOCHS,
-                           estimator_samples=EST_SAMPLES)
+        tcfg = TrainConfig(seed=_TRAIN_SEED, estimator_epochs=EST_EPOCHS)
         est, _ = train_estimator(examples, tcfg)
         tmp = _tmp_path(path)
         save_estimator(est, tmp, bits=bits)

@@ -40,7 +40,7 @@ from qsine.signals import (GenConfig, ParameterSet, add_noise,
                            substream, synthesize)
 from qsine.thresholds import (amplitude_threshold, detection_threshold,
                               frequency_threshold, mean_frequency_estimator,
-                              phase_threshold, threshold_set)
+                              phase_threshold)
 
 N = 64
 M = 5
@@ -100,7 +100,6 @@ class TestAnalyticThresholds:
             mean_frequency_estimator(m, N)
         amplitude_threshold()
         phase_threshold()
-        threshold_set(M, N)
         assert time.perf_counter() - t0 < 1.0
 
 

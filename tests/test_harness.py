@@ -16,7 +16,7 @@ from qsine.harness import (
     main,
 )
 from qsine.signals import load_dataset
-from qsine.signalnet import load_estimator
+from qsine.signalnet import load_estimator, load_signalnet
 from qsine.thresholds import detection_threshold, frequency_threshold
 
 
@@ -422,6 +422,20 @@ class TestTrainCommand:
             "--epochs", "1"])
         assert code == 2
         assert "no examples with m=3" in err
+
+    def test_bundle_epochs_bound_every_model(self, capsys, tmp_path):
+        out = tmp_path / "bundle"
+        code, _, _ = _run(capsys, [
+            "train", "--task", "bundle", "--m-max", "2", "--samples", "600",
+            "--epochs", "1", "--out", str(out)])
+        assert code == 0
+        logs = ["train_detection.log.csv", "train_est_m1.log.csv",
+                "train_est_m2.log.csv"]
+        for name in logs:
+            _, rows = _read_csv((out / name).read_text())
+            assert len(rows) == 1, name
+        model = load_signalnet(out)
+        assert model.M == 2 and sorted(model.estimators) == [1, 2]
 
 
 # --------------------------------------------------------------------------

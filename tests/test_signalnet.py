@@ -16,7 +16,6 @@ from qsine.signalnet import (
     _eval_estimator_loss,
     _expected_count_loss,
     _forward_chain,
-    build_baseline,
     build_block_network,
     build_detection_network,
     build_estimator,
@@ -330,19 +329,6 @@ class TestTraining:
         examples = _tiny_dataset(54, 30, m_fixed=1) + _tiny_dataset(55, 30, m_fixed=2)
         with pytest.raises(ValueError, match="fixed sinusoid count"):
             train_estimator(examples, TrainConfig(estimator_epochs=1))
-
-
-class TestBaselines:
-    @pytest.mark.parametrize("kind", ["mlp", "conv"])
-    @pytest.mark.parametrize("m", [1, 3, 5])
-    def test_param_matching_within_ten_percent(self, kind, m):
-        target = build_estimator(m, seed=0).param_count()
-        net = build_baseline(kind, m, seed=0)
-        assert abs(net.param_count() - target) <= 0.1 * target
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="baseline kind"):
-            build_baseline("transformer", 1)
 
 
 # --------------------------------------------------------------------------

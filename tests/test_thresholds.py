@@ -14,7 +14,6 @@ from qsine.thresholds import (
     lambert_w,
     mean_frequency_estimator,
     phase_threshold,
-    threshold_set,
 )
 
 
@@ -117,13 +116,3 @@ class TestScalarThresholds:
         mean, thr = phase_threshold()
         assert mean == pytest.approx(math.pi)
         assert thr == pytest.approx(math.pi**2 / 3, rel=1e-15)
-
-    def test_bundle_consistency(self):
-        ts = threshold_set(5, 64)
-        assert ts.detection_loss_value == detection_threshold(5)[1]
-        assert ts.amp_threshold == 0.0675
-        assert len(ts.freq_thresholds) == 5
-        npt.assert_allclose(ts.freq_thresholds,
-                            [frequency_threshold(m, 64) for m in range(1, 6)])
-        assert len(ts.mean_freq_vectors) == 5
-        assert len(ts.mean_freq_vectors[4]) == 5
