@@ -26,10 +26,9 @@ import numpy as np
 
 from . import __version__
 from .classical import aic_mdl_detect, classical_estimate
-from .losses import LossVector, detection_loss, normalized_chamfer
+from .losses import LossVector, detection_loss, normalized_chamfer_batch
 from .quantize import make_quantizer
-from .signals import (GenConfig, ParameterSet, load_dataset, make_dataset,
-                      save_dataset)
+from .signals import Dataset, GenConfig, load_dataset, make_dataset, save_dataset
 from .signalnet import (
     TrainConfig,
     SignalNetModel,
@@ -40,7 +39,7 @@ from .signalnet import (
     save_estimator,
     save_network,
     save_signalnet,
-    signalnet_infer_batch,
+    signalnet_infer_arrays,
     train_detection,
     train_estimator,
 )
@@ -191,10 +190,10 @@ def cmd_generate(args) -> int:
         snr_db=args.snr,
         snr_range=(args.snr_min, args.snr_max) if args.snr_spread else None,
     )
-    examples = make_dataset(cfg, args.count)
-    labels_path, samples_path = save_dataset(args.out, cfg, examples)
-    counts = np.bincount([ex.label.m for ex in examples], minlength=cfg.M + 1)
-    mean_snr = float(np.mean([ex.snr_db for ex in examples]))
+    dataset = make_dataset(cfg, args.count)
+    labels_path, samples_path = save_dataset(args.out, cfg, dataset)
+    counts = np.bincount(dataset.counts, minlength=cfg.M + 1)
+    mean_snr = float(np.mean(dataset.snr_db))
     print(f"wrote {labels_path} and {samples_path}")
     for m in range(1, cfg.M + 1):
         print(f"  m={m}: {int(counts[m])} examples")
@@ -221,17 +220,17 @@ def _train_config(args) -> TrainConfig:
     return cfg
 
 
-def _train_examples(args, m_fixed: int | None):
+def _train_examples(args, m_fixed: int | None) -> Dataset:
     """Training frames: --data filtered to count m_fixed, or --samples fresh
     frames (default DETECTION_SAMPLES / ESTIMATOR_SAMPLES)."""
     if args.data is not None:
-        _, examples = load_dataset(args.data)
+        _, dataset = load_dataset(args.data)
         if m_fixed is not None:
-            examples = [ex for ex in examples if ex.label.m == m_fixed]
-            if not examples:
+            dataset = dataset[dataset.counts == m_fixed]
+            if not len(dataset):
                 raise ValueError(
                     f"dataset {args.data} has no examples with m={m_fixed}")
-        return examples
+        return dataset
     count = args.samples
     if count is None:
         count = DETECTION_SAMPLES if m_fixed is None else ESTIMATOR_SAMPLES
@@ -244,10 +243,10 @@ def _train_examples(args, m_fixed: int | None):
 def _train_model(args, cfg: TrainConfig, m: int | None):
     """Trains the count detector (m None) or the m-sinusoid chain; returns
     (model, history)."""
-    examples = _train_examples(args, m)
+    dataset = _train_examples(args, m)
     if m is None:
-        return train_detection(examples, cfg, M=args.m_max)
-    return train_estimator(examples, cfg, residual_mode=args.residual_mode)
+        return train_detection(dataset, cfg, M=args.m_max)
+    return train_estimator(dataset, cfg, residual_mode=args.residual_mode)
 
 
 def _write_log(path: str, history: list[dict]):
@@ -292,7 +291,7 @@ def cmd_train(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cell_examples(args, bits: int, m_code: int, snr: float, tag: int,
-                   freq_mode: str = "in_distribution"):
+                   freq_mode: str = "in_distribution") -> Dataset:
     mode_code = 0 if freq_mode == "in_distribution" else 1
     seed = _cell_seed(args.seed, tag, bits, m_code, _snr_key(snr), mode_code)
     gen = GenConfig(N=args.frame_len, M=args.m_max, bits=bits, seed=seed,
@@ -302,20 +301,30 @@ def _cell_examples(args, bits: int, m_code: int, snr: float, tag: int,
 
 
 def _estimator_metrics(A, F, P, At, Ft, Pt, thr: LossVector):
-    rows = {
+    cham = normalized_chamfer_batch((At, Ft, Pt), (A, F, P), thr)
+    return {
         "freq_mse_db": _db(float(np.mean((F - Ft) ** 2))),
         "amp_mse_db": _db(float(np.mean((A - At) ** 2))),
         "phase_mse": float(np.mean((P - Pt) ** 2)),
+        "chamfer_norm": float(np.mean(cham)),
     }
-    m = A.shape[1]
-    cham = [
-        normalized_chamfer(
-            ParameterSet(m=m, amps=At[i], freqs=Ft[i], phases=Pt[i]),
-            ParameterSet(m=m, amps=A[i], freqs=F[i], phases=P[i]), thr)
-        for i in range(len(A))
-    ]
-    rows["chamfer_norm"] = float(np.mean(cham))
-    return rows
+
+
+def _chamfer_norm(cell: Dataset, est_counts, est, N: int) -> float:
+    """Mean normalized Chamfer of a mixed-count cell against estimates with
+    their own counts (est: padded (amps, freqs, phases) arrays, as in a
+    Dataset), scored in one pass per (true count, estimated count) group."""
+    cham = np.empty(len(cell))
+    truth = (cell.amps, cell.freqs, cell.phases)
+    for m in np.unique(cell.counts).tolist():
+        thr = estimation_thresholds(m, N)
+        of_m = cell.counts == m
+        for k in np.unique(est_counts[of_m]).tolist():
+            rows = np.flatnonzero(of_m & (est_counts == k))
+            cham[rows] = normalized_chamfer_batch(
+                tuple(a[rows, :m] for a in truth),
+                tuple(a[rows, :k] for a in est), thr)
+    return float(np.mean(cham))
 
 
 def _threshold_rows(args, bits: int, snr: float) -> list[tuple]:
@@ -376,29 +385,21 @@ def _select_algorithms(args, bundle) -> list[str]:
     return names
 
 
-def _truth_arrays(examples):
-    X = np.stack([ex.x for ex in examples]).astype(np.float32)
-    At = np.stack([ex.label.amps for ex in examples])
-    Ft = np.stack([ex.label.freqs for ex in examples])
-    Pt = np.stack([ex.label.phases for ex in examples])
-    return X, At, Ft, Pt
-
-
 def _eval_estimator_cell(args, bits, m, snr, qspec, bundle, algorithms):
     rows = []
     wanted = [a for a in ("periodogram", "nn_est") if a in algorithms]
     if not wanted:
         return rows
-    examples = _cell_examples(args, bits, m, snr, _TAG_EVAL)
-    X, At, Ft, Pt = _truth_arrays(examples)
+    cell = _cell_examples(args, bits, m, snr, _TAG_EVAL)
+    At, Ft, Pt = cell.amps, cell.freqs, cell.phases
     thr = estimation_thresholds(m, args.frame_len)
-    n = len(examples)
+    n = len(cell)
     if "periodogram" in wanted:
         est_a = np.empty_like(At)
         est_f = np.empty_like(Ft)
         est_p = np.empty_like(Pt)
-        for i, ex in enumerate(examples):
-            ps = classical_estimate(ex.x, m, qspec=qspec, nfft=args.nfft,
+        for i, x in enumerate(cell.x):
+            ps = classical_estimate(x, m, qspec=qspec, nfft=args.nfft,
                                     peak_mode=args.peak_mode)
             est_a[i], est_f[i], est_p[i] = ps.amps, ps.freqs, ps.phases
         for metric, value in _estimator_metrics(est_a, est_f, est_p,
@@ -410,7 +411,8 @@ def _eval_estimator_cell(args, bits, m, snr, qspec, bundle, algorithms):
             print(f"note: bundle lacks an m={m} estimator; skipping nn_est",
                   file=sys.stderr)
         else:
-            A, F, P = estimator_forward_batch(bundle.estimators[m], X)
+            A, F, P = estimator_forward_batch(bundle.estimators[m],
+                                              cell.x.astype(np.float32))
             for metric, value in _estimator_metrics(
                     A.astype(np.float64), F.astype(np.float64),
                     P.astype(np.float64), At, Ft, Pt, thr).items():
@@ -425,16 +427,16 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, algorithms):
                           "aic_periodogram") if a in algorithms]
     if not wanted:
         return rows
-    examples = _cell_examples(args, bits, 0, snr, _TAG_EVAL)
-    X = np.stack([ex.x for ex in examples]).astype(np.float32)
-    counts = np.array([ex.label.m for ex in examples])
-    n = len(examples)
+    cell = _cell_examples(args, bits, 0, snr, _TAG_EVAL)
+    X = cell.x.astype(np.float32)
+    counts = cell.counts
+    n = len(cell)
     classical_counts = {}
     for crit in ("aic", "mdl"):
         if crit in wanted or (crit == "aic" and "aic_periodogram" in wanted):
             pred = np.array([
-                aic_mdl_detect(ex.x, criterion=crit, qspec=qspec, L=args.L,
-                               Mmax=args.m_max) for ex in examples])
+                aic_mdl_detect(x, criterion=crit, qspec=qspec, L=args.L,
+                               Mmax=args.m_max) for x in cell.x])
             classical_counts[crit] = pred
             if crit in wanted:
                 loss = float(np.mean(detection_loss(counts, pred)))
@@ -446,27 +448,23 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, algorithms):
         rows.append(("nn_detect", bits, "joint", snr, "detection_loss", loss,
                      n, args.seed))
     if "signalnet" in wanted and bundle is not None:
-        pred, sets = signalnet_infer_batch(bundle, X)
+        pred, est = signalnet_infer_arrays(bundle, X)
         loss = float(np.mean(detection_loss(counts, pred)))
         rows.append(("signalnet", bits, "joint", snr, "detection_loss", loss,
                      n, args.seed))
-        cham = [
-            normalized_chamfer(ex.label, sets[i],
-                               estimation_thresholds(ex.label.m, args.frame_len))
-            for i, ex in enumerate(examples)
-        ]
         rows.append(("signalnet", bits, "joint", snr, "chamfer_norm",
-                     float(np.mean(cham)), n, args.seed))
+                     _chamfer_norm(cell, pred, est, args.frame_len), n,
+                     args.seed))
     if "aic_periodogram" in wanted:
         pred = classical_counts["aic"]
-        cham = []
-        for i, ex in enumerate(examples):
-            ps = classical_estimate(ex.x, int(pred[i]), qspec=qspec,
+        est = np.full((3, n, args.m_max), np.nan)
+        for i, x in enumerate(cell.x):
+            ps = classical_estimate(x, int(pred[i]), qspec=qspec,
                                     nfft=args.nfft, peak_mode=args.peak_mode)
-            cham.append(normalized_chamfer(
-                ex.label, ps, estimation_thresholds(ex.label.m, args.frame_len)))
+            est[:, i, :ps.m] = ps.amps, ps.freqs, ps.phases
         rows.append(("aic_periodogram", bits, "joint", snr, "chamfer_norm",
-                     float(np.mean(cham)), n, args.seed))
+                     _chamfer_norm(cell, pred, tuple(est), args.frame_len), n,
+                     args.seed))
     return rows
 
 
@@ -485,18 +483,18 @@ def cmd_ood(args) -> int:
     for snr in grid:
         for mode, tag_name in (("in_distribution", "in_dist"),
                                ("ood_uniform", "ood")):
-            examples = _cell_examples(args, bits, args.m, snr, _TAG_OOD,
-                                      freq_mode=mode)
-            X, At, Ft, Pt = _truth_arrays(examples)
-            A, F, P = estimator_forward_batch(est, X)
+            cell = _cell_examples(args, bits, args.m, snr, _TAG_OOD,
+                                  freq_mode=mode)
+            A, F, P = estimator_forward_batch(est, cell.x.astype(np.float32))
             thr = estimation_thresholds(args.m, args.frame_len)
             metrics = _estimator_metrics(A.astype(np.float64),
                                          F.astype(np.float64),
                                          P.astype(np.float64),
-                                         At, Ft, Pt, thr)
+                                         cell.amps, cell.freqs, cell.phases,
+                                         thr)
             for metric, value in metrics.items():
                 rows.append(("nn_est", bits, args.m, snr, metric, value,
-                             len(examples), args.seed, tag_name))
+                             len(cell), args.seed, tag_name))
     rows.sort(key=lambda r: (r[0], r[1], str(r[2]), r[3], r[4], r[8]))
     _write_csv(args.out, OOD_HEADER, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")

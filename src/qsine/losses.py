@@ -57,10 +57,17 @@ def chamfer(f: np.ndarray, fhat: np.ndarray) -> float:
     """
     f = np.atleast_1d(np.asarray(f, dtype=np.float64))
     fhat = np.atleast_1d(np.asarray(fhat, dtype=np.float64))
-    if f.size == 0 or fhat.size == 0:
+    return float(_chamfer_rows(f[None], fhat[None])[0])
+
+
+def _chamfer_rows(F: np.ndarray, Fhat: np.ndarray) -> np.ndarray:
+    # chamfer() of each row pair of (B, m) and (B, k) arrays -> (B,). Each
+    # row's sums run along a contiguous last axis, as the 1-D sums do, so
+    # every row gives the bits of its own chamfer() call.
+    if F.shape[1] == 0 or Fhat.shape[1] == 0:
         raise ValueError("chamfer requires nonempty vectors on both sides")
-    d = np.abs(f[:, None] - fhat[None, :])
-    return float(d.min(axis=1).sum() + d.min(axis=0).sum())
+    d = np.abs(F[:, :, None] - Fhat[:, None, :])
+    return d.min(axis=2).sum(axis=1) + d.min(axis=1).sum(axis=1)
 
 
 def empty_side_penalty(values: np.ndarray) -> float:
@@ -93,12 +100,29 @@ def normalized_chamfer(truth, est, thresholds) -> float:
     effective_loss with the true count's 1/m factor. Zero iff est matches
     truth exactly as sets.
     """
+    rows = [(p.amps[None], p.freqs[None], p.phases[None]) for p in (truth, est)]
+    return float(normalized_chamfer_batch(*rows, thresholds)[0])
+
+
+def normalized_chamfer_batch(truth, est, thresholds) -> np.ndarray:
+    """normalized_chamfer of B frames in one pass.
+
+    Args:
+        truth: (amps, freqs, phases), each a (B, m) float64 array: every
+            frame has the same true count m.
+        est: (amps, freqs, phases), each (B, k): one estimated count k.
+        thresholds: LossVector of the learning thresholds for count m.
+
+    Returns:
+        (B,) values, each equal to the frame's normalized_chamfer.
+    """
     ta, tf, tp = thresholds
     if min(ta, tf, tp) <= 0.0:
         raise ValueError("thresholds must be positive")
+    (A, F, P), (Ah, Fh, Ph) = truth, est
     terms = (
-        chamfer(truth.amps, est.amps) / np.sqrt(ta)
-        + chamfer(truth.freqs, est.freqs) / np.sqrt(tf)
-        + chamfer(truth.phases, est.phases) / np.sqrt(tp)
+        _chamfer_rows(A, Ah) / np.sqrt(ta)
+        + _chamfer_rows(F, Fh) / np.sqrt(tf)
+        + _chamfer_rows(P, Ph) / np.sqrt(tp)
     )
-    return float(terms / truth.m)
+    return terms / A.shape[1]

@@ -36,7 +36,7 @@ from .nn import (
 )
 from .losses import LossVector, detection_loss, effective_loss
 from .nn.checkpoint import load_chain, load_network, save_chain, save_network
-from .signals import TWO_PI, LabeledExample, ParameterSet, substream
+from .signals import TWO_PI, Dataset, ParameterSet, substream
 from .thresholds import estimation_thresholds
 
 _TAG_SPLIT = 7000
@@ -263,20 +263,19 @@ class TrainConfig:
     seed: int = 0
 
 
-def detection_arrays(examples: list[LabeledExample]):
-    X = np.stack([ex.x for ex in examples]).astype(np.float32)
-    counts = np.array([ex.label.m for ex in examples], dtype=np.int64)
-    return X, counts
+def detection_arrays(dataset: Dataset):
+    """Frames as float32 (n, N, 2) and their counts."""
+    return dataset.x.astype(np.float32), dataset.counts
 
 
-def estimator_arrays(examples: list[LabeledExample]):
-    m = examples[0].label.m
-    if any(ex.label.m != m for ex in examples):
+def estimator_arrays(dataset: Dataset):
+    """Frames and labels of a fixed-count dataset, all float32."""
+    m = int(dataset.counts[0])
+    if np.any(dataset.counts != m):
         raise ValueError("estimator training needs a fixed sinusoid count")
-    X = np.stack([ex.x for ex in examples]).astype(np.float32)
-    A = np.stack([ex.label.amps for ex in examples]).astype(np.float32)
-    F = np.stack([ex.label.freqs for ex in examples]).astype(np.float32)
-    P = np.stack([ex.label.phases for ex in examples]).astype(np.float32)
+    X = dataset.x.astype(np.float32)
+    A, F, P = (a[:, :m].astype(np.float32)
+               for a in (dataset.amps, dataset.freqs, dataset.phases))
     return X, A, F, P
 
 
@@ -389,13 +388,13 @@ def _detection_loss_eval(net: Network, X: np.ndarray, counts: np.ndarray,
     return total / len(X)
 
 
-def train_detection(examples: list[LabeledExample], cfg: TrainConfig,
+def train_detection(dataset: Dataset, cfg: TrainConfig,
                     M: int = 5, net: Network | None = None):
     """Trains the count classifier on mixed-count frames.
 
     Returns (network, history); the network carries the best-validation
     weights."""
-    X, counts = detection_arrays(examples)
+    X, counts = detection_arrays(dataset)
     N = X.shape[1]
     if net is None:
         net = build_detection_network(N=N, M=M, seed=cfg.seed)
@@ -503,7 +502,7 @@ def _eval_estimator_loss(est: SinusoidEstimator, X, At, Ft, Pt,
     return total / len(X)
 
 
-def train_estimator(examples: list[LabeledExample], cfg: TrainConfig,
+def train_estimator(dataset: Dataset, cfg: TrainConfig,
                     est: SinusoidEstimator | None = None,
                     residual_mode: str = "stop_gradient"):
     """Trains a residual-chain estimator on fixed-count frames.
@@ -511,7 +510,7 @@ def train_estimator(examples: list[LabeledExample], cfg: TrainConfig,
     Targets are the frequency-sorted ground-truth triples; block k learns
     the k-th lowest-frequency sinusoid. Returns (estimator, history).
     """
-    X, At, Ft, Pt = estimator_arrays(examples)
+    X, At, Ft, Pt = estimator_arrays(dataset)
     At, Ft, Pt = (a.astype(np.float64) for a in (At, Ft, Pt))
     m = At.shape[1]
     N = X.shape[1]
@@ -551,19 +550,26 @@ def signalnet_infer(model: SignalNetModel, x: np.ndarray):
     return mhat, forward_estimator(model.estimators[mhat], x)
 
 
+def signalnet_infer_arrays(model: SignalNetModel, X: np.ndarray):
+    """Batched pipeline as arrays: counts (B,) and (amps, freqs, phases),
+    each (B, K) float64 with K the largest count detected; row b holds its
+    counts[b] estimates and NaN after them."""
+    counts = detect_count_batch(model.detection, X)
+    est = np.full((3, len(X), int(counts.max(initial=0))), np.nan)
+    for mhat in np.unique(counts).tolist():
+        if mhat not in model.estimators:
+            raise KeyError(f"no estimator for detected count {mhat}")
+        idx = np.flatnonzero(counts == mhat)
+        est[:, idx, :mhat] = estimator_forward_batch(model.estimators[mhat], X[idx])
+    return counts, tuple(est)
+
+
 def signalnet_infer_batch(model: SignalNetModel, X: np.ndarray):
     """Batched pipeline: returns (counts (B,), list of ParameterSet)."""
-    counts = detect_count_batch(model.detection, X)
-    results: list[ParameterSet | None] = [None] * len(X)
-    for mhat in np.unique(counts):
-        if mhat not in model.estimators:
-            raise KeyError(f"no estimator for detected count {int(mhat)}")
-        idx = np.flatnonzero(counts == mhat)
-        A, F, P = estimator_forward_batch(model.estimators[mhat], X[idx])
-        for j, b in enumerate(idx):
-            results[b] = ParameterSet(m=int(mhat), amps=A[j], freqs=F[j],
-                                      phases=P[j])
-    return counts, results
+    counts, (A, F, P) = signalnet_infer_arrays(model, X)
+    sets = [ParameterSet(m=m, amps=A[b, :m], freqs=F[b, :m], phases=P[b, :m])
+            for b, m in enumerate(counts.tolist())]
+    return counts, sets
 
 
 def save_signalnet(model: SignalNetModel, out_dir) -> Path:

@@ -14,6 +14,18 @@ Frames are plain complex128 ndarrays; the quantizer input is normalized to
 unit average per-sample power (||s||^2 = N) so each real component is
 approximately Normal(0, 1/2) for the Bussgang linearization downstream.
 
+A generated or loaded dataset is a `Dataset`: one array per field, row i
+holding example i (the IQ frames, counts, padded labels and SNRs). It
+indexes and iterates as `LabeledExample`s. `make_dataset` builds it in two
+phases that give the same bytes as running the pipeline above frame by
+frame:
+
+1. per frame, in index order: the SNR, the label (count, frequencies with
+   rejection, amplitudes, phases) and the noise are drawn from the frame's
+   own substream;
+2. per group of frames with equal count: synthesis, noise addition, power
+   normalization and quantization run on the whole group at once.
+
 Randomness: every example draws from its own substream keyed by
 (seed, example index), so datasets are reproducible and independent of any
 parallel generation order.
@@ -26,7 +38,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .quantize import Quantizer, make_quantizer, quantize
+
 TWO_PI = 2.0 * math.pi
+
+# phase 2 of make_dataset handles at most this many frames of a count group
+# at once: its (frames, N, m) temporaries stay below a peak RSS that per-frame
+# generation reaches anyway, and larger chunks ran no faster
+GROUP_CHUNK = 128
 
 # Give up on rejection sampling after this many attempts (probability ~0 for
 # sane configs; guards against a pathological config looping forever).
@@ -153,6 +172,55 @@ class LabeledExample:
     snr_db: float
 
 
+@dataclass
+class Dataset:
+    """Labeled frames as arrays; row i is example i.
+
+    Attributes:
+        x: (n, N, 2) float64 quantized IQ frames.
+        counts: (n,) int64 sinusoid counts.
+        amps, freqs, phases: (n, K) float64 labels, K the widest label; row
+            i holds its counts[i] values first and NaN after them.
+        snr_db: (n,) float64 SNRs in dB.
+
+    An integer index gives a LabeledExample whose x and label vectors are
+    views into these arrays. A slice, an index array or a boolean mask gives
+    the Dataset of those rows.
+    """
+
+    x: np.ndarray
+    counts: np.ndarray
+    amps: np.ndarray
+    freqs: np.ndarray
+    phases: np.ndarray
+    snr_db: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.x)
+        if not (len(self.counts) == len(self.amps) == len(self.freqs)
+                == len(self.phases) == len(self.snr_db) == n):
+            raise ValueError("dataset arrays must all have one row per frame")
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            m = int(self.counts[index])
+            label = ParameterSet(m=m, amps=self.amps[index, :m],
+                                 freqs=self.freqs[index, :m],
+                                 phases=self.phases[index, :m])
+            return LabeledExample(x=self.x[index], label=label,
+                                  snr_db=float(self.snr_db[index]))
+        return Dataset(x=self.x[index], counts=self.counts[index],
+                       amps=self.amps[index], freqs=self.freqs[index],
+                       phases=self.phases[index], snr_db=self.snr_db[index])
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+
 def synthesize(params: ParameterSet, N: int, T: float = 1.0) -> np.ndarray:
     """Noiseless frame u[n] = sum_i a_i exp(j(2 pi f_i n T + phi_i)).
 
@@ -176,16 +244,23 @@ def add_noise(
     between the real and imaginary components. snr_db = +inf returns the frame
     unchanged (noiseless sentinel).
     """
+    sigma = _noise_sigma(snr_db, signal_power)
+    if sigma is None:
+        return frame.copy()
+    noise = rng.normal(0.0, sigma, size=(len(frame), 2))
+    return frame + noise[:, 0] + 1j * noise[:, 1]
+
+
+def _noise_sigma(snr_db: float, signal_power: float) -> float | None:
+    # per-component noise standard deviation; None for the +inf sentinel
     if signal_power <= 0:
         raise ValueError("signal_power must be > 0")
     if math.isinf(snr_db) and snr_db > 0:
-        return frame.copy()
+        return None
     if not math.isfinite(snr_db):
         raise ValueError("snr_db must be finite or +inf")
     var = signal_power / 10.0 ** (snr_db / 10.0)
-    sigma = math.sqrt(var / 2.0)
-    noise = rng.normal(0.0, sigma, size=(len(frame), 2))
-    return frame + noise[:, 0] + 1j * noise[:, 1]
+    return math.sqrt(var / 2.0)
 
 
 def normalize_power(frame: np.ndarray) -> np.ndarray:
@@ -261,37 +336,84 @@ def draw_parameters(cfg: GenConfig, rng: np.random.Generator) -> ParameterSet:
     return ParameterSet(m=m, amps=amps, freqs=freqs, phases=phases).validate()
 
 
-def make_example(cfg: GenConfig, index: int, quantizer=None) -> LabeledExample:
+def make_example(cfg: GenConfig, index: int) -> LabeledExample:
     """Generates example `index` of the dataset keyed by cfg.seed.
 
     The full pipeline: draw -> synthesize -> noise -> normalize -> quantize
-    -> IQ. Pure function of (cfg, index).
+    -> IQ. Pure function of (cfg, index); the same bytes as row `index` of
+    make_dataset.
     """
-    rng = substream(cfg.seed, index)
-    if cfg.snr_range is not None:
-        snr_db = float(rng.uniform(cfg.snr_range[0], cfg.snr_range[1]))
-    else:
-        snr_db = float(cfg.snr_db)
-    params = draw_parameters(cfg, rng)
-    u = synthesize(params, cfg.N, cfg.sample_interval)
-    power = float(np.sum(params.amps**2))
-    y = add_noise(u, snr_db, power, rng)
-    s = normalize_power(y)
-    from .quantize import make_quantizer, quantize
-
-    spec = quantizer if quantizer is not None else make_quantizer(cfg.bits)
-    z = quantize(s, spec)
-    return LabeledExample(x=to_iq(z), label=params, snr_db=snr_db)
+    return _generate(cfg, [index], make_quantizer(cfg.bits))[0]
 
 
-def make_dataset(cfg: GenConfig, count: int) -> list[LabeledExample]:
+def make_dataset(cfg: GenConfig, count: int) -> Dataset:
     """Generates `count` labeled examples deterministically from cfg.seed."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    from .quantize import make_quantizer
+    return _generate(cfg, range(count), make_quantizer(cfg.bits))
 
-    spec = make_quantizer(cfg.bits)
-    return [make_example(cfg, i, quantizer=spec) for i in range(count)]
+
+def _generate(cfg: GenConfig, indices: Sequence[int], spec: Quantizer) -> Dataset:
+    n, N = len(indices), cfg.N
+    width = cfg.m_fixed if cfg.m_fixed is not None else cfg.M
+    x = np.empty((n, N, 2))
+    counts = np.empty(n, dtype=np.int64)
+    amps, freqs, phases = (np.full((n, width), np.nan) for _ in range(3))
+    snrs = np.empty(n)
+    # phase 1, per frame in index order: the SNR, label and noise draws of
+    # the frame's substream; x holds the noise until phase 2. A noiseless
+    # frame gets zeros: adding them can flip only the sign of a zero sample,
+    # and both signs quantize to the same level.
+    for row, index in enumerate(indices):
+        rng = substream(cfg.seed, index)
+        if cfg.snr_range is not None:
+            snr_db = float(rng.uniform(cfg.snr_range[0], cfg.snr_range[1]))
+        else:
+            snr_db = float(cfg.snr_db)
+        params = draw_parameters(cfg, rng)
+        m = params.m
+        counts[row] = m
+        snrs[row] = snr_db
+        amps[row, :m] = params.amps
+        freqs[row, :m] = params.freqs
+        phases[row, :m] = params.phases
+        sigma = _noise_sigma(snr_db, float(np.sum(params.amps**2)))
+        if sigma is None:
+            x[row] = 0.0
+        else:
+            x[row] = rng.normal(0.0, sigma, size=(N, 2))
+    # phase 2, per count group: the pipeline on many frames at once, with
+    # each step's elementwise arithmetic in the per-frame order
+    for m in np.unique(counts).tolist():
+        group = np.flatnonzero(counts == m)
+        for start in range(0, len(group), GROUP_CHUNK):
+            rows = group[start : start + GROUP_CHUNK]
+            u = _synthesize_rows(amps[rows, :m], freqs[rows, :m],
+                                 phases[rows, :m], N, cfg.sample_interval)
+            noise = x[rows]
+            y = u + noise[..., 0] + 1j * noise[..., 1]
+            z = quantize(_normalize_rows(y), spec)
+            x[rows, :, 0] = z.real
+            x[rows, :, 1] = z.imag
+    return Dataset(x=x, counts=counts, amps=amps, freqs=freqs, phases=phases,
+                   snr_db=snrs)
+
+
+def _synthesize_rows(A: np.ndarray, F: np.ndarray, P: np.ndarray, N: int,
+                     T: float) -> np.ndarray:
+    # synthesize() of each row of the (B, m) label arrays -> (B, N)
+    n = np.arange(N, dtype=np.float64)
+    angles = TWO_PI * (n[:, None] * F[:, None, :]) * T + P[:, None, :]
+    return (A[:, None, :] * np.exp(1j * angles)).sum(axis=2)
+
+
+def _normalize_rows(y: np.ndarray) -> np.ndarray:
+    # normalize_power() of each row. A norm over axis=1 differs from the
+    # per-row np.linalg.norm in the last bit on about a fifth of rows.
+    norms = np.array([np.linalg.norm(row) for row in y])
+    if not norms.all():
+        raise ValueError("cannot normalize an all-zero frame")
+    return math.sqrt(y.shape[1]) * y / norms[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -300,30 +422,29 @@ def make_dataset(cfg: GenConfig, count: int) -> list[LabeledExample]:
 # ---------------------------------------------------------------------------
 
 
-def save_dataset(base: str, cfg: GenConfig, examples: Sequence[LabeledExample]) -> tuple[str, str]:
+def save_dataset(base: str, cfg: GenConfig, dataset: Dataset) -> tuple[str, str]:
     """Writes the labels/samples file pair; returns their paths."""
     labels_path = base + ".labels.csv"
     samples_path = base + ".samples.f32"
     lines = [f"{DATASET_MAGIC}, N={cfg.N}, M={cfg.M}, bits={cfg.bits}"]
-    for i, ex in enumerate(examples):
-        p = ex.label
-        fields = [str(i), str(p.m), repr(float(ex.snr_db))]
-        fields += [repr(float(v)) for v in p.amps]
-        fields += [repr(float(v)) for v in p.freqs]
-        fields += [repr(float(v)) for v in p.phases]
+    rows = zip(dataset.counts.tolist(), dataset.snr_db.tolist(),
+               dataset.amps.tolist(), dataset.freqs.tolist(),
+               dataset.phases.tolist())
+    for i, (m, snr_db, a, f, p) in enumerate(rows):
+        fields = [str(i), str(m), repr(snr_db)]
+        fields += [repr(v) for v in a[:m] + f[:m] + p[:m]]
         lines.append(",".join(fields))
     with open(labels_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(samples_path, "wb") as fh:
-        for ex in examples:
-            fh.write(np.ascontiguousarray(ex.x, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(dataset.x, dtype="<f4").tobytes())
     return labels_path, samples_path
 
 
-def load_dataset(base: str) -> tuple[dict, list[LabeledExample]]:
-    """Reads a dataset file pair; returns (header metadata, examples).
+def load_dataset(base: str) -> tuple[dict, Dataset]:
+    """Reads a dataset file pair; returns (header metadata, dataset).
 
-    Sample data comes back float32 (the file precision).
+    Sample values have float32 precision (the file's), stored as float64.
     """
     labels_path = base + ".labels.csv"
     samples_path = base + ".samples.f32"
@@ -345,19 +466,23 @@ def load_dataset(base: str) -> tuple[dict, list[LabeledExample]]:
         raise ValueError(
             f"label rows ({len(records)}) and sample frames ({len(frames)}) disagree"
         )
-    examples = []
-    for row, x in zip(records, frames):
+    counts, snrs, labels = [], [], []
+    for row in records:
         cells = row.split(",")
         m = int(cells[1])
-        snr_db = float(cells[2])
         vals = [float(c) for c in cells[3:]]
         if len(vals) != 3 * m:
             raise ValueError(f"label row has {len(vals)} values, expected {3 * m}")
-        label = ParameterSet(
-            m=m,
-            amps=np.array(vals[:m]),
-            freqs=np.array(vals[m : 2 * m]),
-            phases=np.array(vals[2 * m :]),
-        )
-        examples.append(LabeledExample(x=x.astype(np.float64), label=label, snr_db=snr_db))
-    return meta, examples
+        counts.append(m)
+        snrs.append(float(cells[2]))
+        labels.append(vals)
+    n, width = len(records), max(counts, default=0)
+    amps, freqs, phases = (np.full((n, width), np.nan) for _ in range(3))
+    for i, (m, vals) in enumerate(zip(counts, labels)):
+        amps[i, :m] = vals[:m]
+        freqs[i, :m] = vals[m : 2 * m]
+        phases[i, :m] = vals[2 * m :]
+    return meta, Dataset(x=frames.astype(np.float64),
+                         counts=np.array(counts, dtype=np.int64), amps=amps,
+                         freqs=freqs, phases=phases,
+                         snr_db=np.array(snrs, dtype=np.float64))

@@ -17,6 +17,10 @@ A cache entry cannot go stale or be half-built:
   moved into place with os.replace, so an interrupted run leaves nothing
   that a later run would trust.
 
+At session start, every cache entry that the current recipes and sources
+do not name (older digests, older bundles and their leftover temporaries)
+is deleted.
+
 `python -c "import sys; sys.path.insert(0, 'tests'); import conftest;
 conftest.warm_all()"` pre-builds the cache outside pytest.
 """
@@ -143,10 +147,14 @@ def _bundle_complete(bundle_dir: Path) -> bool:
     return all((bundle_dir / name).is_file() for name in names)
 
 
-def _ensure_bundle() -> Path:
+def _bundle_path() -> Path:
     parts = [_det_path()] + [_est_path(m, 3) for m in range(1, 6)]
     key = hashlib.sha256("|".join(p.name for p in parts).encode())
-    bundle_dir = CACHE / f"bundle_b3_{key.hexdigest()[:12]}"
+    return CACHE / f"bundle_b3_{key.hexdigest()[:12]}"
+
+
+def _ensure_bundle() -> Path:
+    bundle_dir = _bundle_path()
     if not _bundle_complete(bundle_dir):
         det, _ = load_network(_ensure_detection())
         estimators = {}
@@ -188,6 +196,25 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def _prune_cache():
+    """Deletes every cache entry that is not a current suite checkpoint or
+    the current bundle; temporaries of current names may belong to a
+    running build and stay."""
+    if not CACHE.is_dir():
+        return
+    keep = {_job_path(job).name for job in _SUITE_JOBS} | {_bundle_path().name}
+    for entry in CACHE.iterdir():
+        name = entry.name
+        if name.startswith(".tmp"):
+            name = name.split("_", 1)[-1]
+        if name in keep:
+            continue
+        if entry.is_dir():
+            shutil.rmtree(entry, ignore_errors=True)
+        else:
+            entry.unlink(missing_ok=True)
+
+
 def _warm_suite():
     """Trains every missing checkpoint in _SUITE_JOBS, one spawned worker
     process per available CPU."""
@@ -201,9 +228,15 @@ def _warm_suite():
 
 
 def warm_all():
+    _prune_cache()
     _warm_suite()
     _ensure_bundle()
     print("model cache is warm:", sorted(p.name for p in CACHE.iterdir()))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _pruned_cache():
+    _prune_cache()
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from qsine.losses import (
     empty_side_penalty,
     multi_mse,
     normalized_chamfer,
+    normalized_chamfer_batch,
 )
 from qsine.signals import ParameterSet
 
@@ -104,3 +105,56 @@ class TestEffectiveLoss:
         thr = LossVector(1.0, 0.04, 1.0)
         # only frequency differs: both directions contribute 0.1 / sqrt(0.04)
         assert normalized_chamfer(t, e, thr) == pytest.approx(1.0)
+
+
+def _reference_normalized_chamfer(truth, est, thresholds):
+    # the frame-at-a-time formula: 1-D distance matrices and 1-D sums
+    def one(f, fhat):
+        d = np.abs(f[:, None] - fhat[None, :])
+        return float(d.min(axis=1).sum() + d.min(axis=0).sum())
+
+    ta, tf, tp = thresholds
+    terms = (one(truth[0], est[0]) / np.sqrt(ta)
+             + one(truth[1], est[1]) / np.sqrt(tf)
+             + one(truth[2], est[2]) / np.sqrt(tp))
+    return float(terms / len(truth[0]))
+
+
+class TestNormalizedChamferBatch:
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_rows_equal_frame_by_frame(self, tied):
+        rng = np.random.default_rng(17)
+        thr = LossVector(0.0675, 0.0052, 3.29)
+        B = 40
+        for m in range(1, 6):
+            for k in range(1, 6):
+                if tied:
+                    # values on a coarse grid: equal distances in every row
+                    def draw(shape):
+                        return rng.integers(0, 6, size=shape) / 8.0
+                else:
+                    def draw(shape):
+                        return rng.uniform(0.0, 1.0, size=shape)
+                truth = tuple(draw((B, m)) for _ in range(3))
+                est = tuple(draw((B, k)) for _ in range(3))
+                got = normalized_chamfer_batch(truth, est, thr)
+                assert got.shape == (B,)
+                for b in range(B):
+                    t = tuple(a[b] for a in truth)
+                    e = tuple(a[b] for a in est)
+                    want = _reference_normalized_chamfer(t, e, thr)
+                    assert got[b] == want, (m, k, b)
+                    assert normalized_chamfer(ParameterSet(m, *t),
+                                              ParameterSet(k, *e), thr) == want
+                assert float(np.mean(got)) == float(np.mean(
+                    [_reference_normalized_chamfer(tuple(a[b] for a in truth),
+                                                   tuple(a[b] for a in est), thr)
+                     for b in range(B)]))
+
+    def test_threshold_and_empty_guards(self):
+        one = tuple(np.ones((2, 1)) for _ in range(3))
+        with pytest.raises(ValueError, match="positive"):
+            normalized_chamfer_batch(one, one, LossVector(1.0, 0.0, 1.0))
+        empty = tuple(np.ones((2, 0)) for _ in range(3))
+        with pytest.raises(ValueError, match="nonempty"):
+            normalized_chamfer_batch(one, empty, LossVector(1.0, 1.0, 1.0))

@@ -32,6 +32,7 @@ from qsine.signalnet import (
     save_estimator,
     save_signalnet,
     signalnet_infer,
+    signalnet_infer_arrays,
     signalnet_infer_batch,
     train_detection,
     train_estimator,
@@ -273,6 +274,27 @@ class TestTrainingGradients:
         npt.assert_allclose(dprobs[0], (4.0 - 2.0) / 2 * ks)       # quadratic
         npt.assert_allclose(dprobs[1], -np.exp(3.0 - 1.5) / 2 * ks)  # expm1
 
+    def test_detection_batch_grads_matches_manual_backward(self):
+        # two nets from one seed share weights and the dropout stream, so
+        # the manual pass sees the same training-mode forward
+        net, ref = build_detection_network(seed=5), build_detection_network(seed=5)
+        X = _batch(37, B=8)
+        counts = np.array([1, 2, 3, 4, 5, 1, 2, 3])
+        loss, grads = detection_batch_grads(net, X, counts)
+
+        ref.zero_grads()
+        probs = ref.forward(X, train=True)["probs"]
+        want_loss, dprobs = _expected_count_loss(probs, counts)
+        ref.backward({"probs": dprobs.astype(np.float32)}, input_grad=False)
+        want = ref.named_grads()
+
+        assert loss == want_loss
+        assert sorted(grads) == sorted(want) == sorted(net.named_params())
+        for key, g in grads.items():
+            assert g.dtype == np.float32, key
+            npt.assert_array_equal(g, want[key], err_msg=key)
+        assert any(np.any(g != 0) for g in grads.values())
+
 
 # --------------------------------------------------------------------------
 # training loops
@@ -326,7 +348,7 @@ class TestTraining:
         assert np.isfinite(final)
 
     def test_estimator_rejects_mixed_counts(self):
-        examples = _tiny_dataset(54, 30, m_fixed=1) + _tiny_dataset(55, 30, m_fixed=2)
+        examples = _tiny_dataset(54, 60)  # counts drawn from 1..5
         with pytest.raises(ValueError, match="fixed sinusoid count"):
             train_estimator(examples, TrainConfig(estimator_epochs=1))
 
@@ -373,6 +395,18 @@ class TestBundle:
             assert mhat == counts[i]
             npt.assert_allclose(ps.freqs, sets[i].freqs, rtol=1e-5)
             assert sets[i].m == counts[i]
+
+    def test_infer_arrays_pad_the_batch_sets(self):
+        model = _tiny_bundle()
+        X = _batch(73, B=8)
+        counts, sets = signalnet_infer_batch(model, X)
+        counts2, (A, F, P) = signalnet_infer_arrays(model, X)
+        npt.assert_array_equal(counts, counts2)
+        assert A.shape == (8, counts.max()) and A.dtype == np.float64
+        for b, ps in enumerate(sets):
+            for got, want in ((A, ps.amps), (F, ps.freqs), (P, ps.phases)):
+                npt.assert_array_equal(got[b, :ps.m], want)
+                assert np.isnan(got[b, ps.m:]).all()
 
     def test_missing_estimator_raises(self):
         model = _tiny_bundle()

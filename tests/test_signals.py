@@ -1,9 +1,14 @@
 """Tests for frame synthesis, the label generator, and dataset I/O."""
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from qsine import signals
+from qsine.quantize import make_quantizer, quantize
 from qsine.signals import (
+    Dataset,
     GenConfig,
     ParameterSet,
     add_noise,
@@ -158,6 +163,111 @@ class TestMakeExample:
         snrs = [make_example(cfg, i).snr_db for i in range(100)]
         assert min(snrs) >= -3.0 and max(snrs) <= 3.0
         assert np.std(snrs) > 0.5  # actually spread out
+
+
+def _reference_example(cfg, index, spec):
+    """Example `index` built frame by frame with the public pipeline."""
+    rng = substream(cfg.seed, index)
+    if cfg.snr_range is not None:
+        snr_db = float(rng.uniform(cfg.snr_range[0], cfg.snr_range[1]))
+    else:
+        snr_db = float(cfg.snr_db)
+    params = draw_parameters(cfg, rng)
+    u = synthesize(params, cfg.N, cfg.sample_interval)
+    y = add_noise(u, snr_db, float(np.sum(params.amps**2)), rng)
+    x = to_iq(quantize(normalize_power(y), spec))
+    return x, params, snr_db
+
+
+GROUPED_CONFIGS = {
+    "in_dist_mixed": dict(seed=101),
+    "ood_mixed_1bit": dict(seed=102, bits=1, freq_mode="ood_uniform"),
+    "in_dist_spread_fixed_m": dict(seed=103, m_fixed=3, snr_range=(-10.0, 10.0)),
+    "ood_spread_mixed": dict(seed=104, freq_mode="ood_uniform",
+                             snr_range=(-10.0, 20.0)),
+    "ood_fixed_m_1bit": dict(seed=105, bits=1, m_fixed=2,
+                             freq_mode="ood_uniform", snr_db=-5.0),
+    "noiseless": dict(seed=106, snr_db=math.inf),
+    "noiseless_1bit_fixed_m": dict(seed=107, bits=1, m_fixed=4, snr_db=math.inf),
+}
+
+
+class TestGroupedGeneration:
+    @pytest.mark.parametrize("name", sorted(GROUPED_CONFIGS))
+    def test_bytes_match_frame_by_frame_pipeline(self, name):
+        cfg = GenConfig(**GROUPED_CONFIGS[name])
+        spec = make_quantizer(cfg.bits)
+        ds = make_dataset(cfg, 120)
+        for i, ex in enumerate(ds):
+            x, params, snr_db = _reference_example(cfg, i, spec)
+            assert ex.x.dtype == np.float64
+            assert ex.x.tobytes() == x.tobytes(), i
+            assert ex.label.m == params.m
+            for got, want in ((ex.label.amps, params.amps),
+                              (ex.label.freqs, params.freqs),
+                              (ex.label.phases, params.phases)):
+                assert got.tobytes() == want.tobytes(), i
+            assert ex.snr_db == snr_db
+
+    def test_chunked_groups_give_the_same_bytes(self, monkeypatch):
+        cfg = GenConfig(seed=108, snr_range=(-5.0, 5.0))
+        whole = make_dataset(cfg, 60)
+        monkeypatch.setattr(signals, "GROUP_CHUNK", 4)
+        chunked = make_dataset(cfg, 60)
+        assert chunked.x.tobytes() == whole.x.tobytes()
+        npt.assert_array_equal(chunked.counts, whole.counts)
+
+    def test_make_example_is_one_row(self):
+        cfg = GenConfig(seed=109, freq_mode="ood_uniform", bits=1)
+        ds = make_dataset(cfg, 12)
+        for i in (0, 7, 11):
+            assert make_example(cfg, i).x.tobytes() == ds[i].x.tobytes()
+
+    def test_non_finite_snr_rejected(self):
+        for snr in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="finite or \\+inf"):
+                make_dataset(GenConfig(seed=1, snr_db=snr), 3)
+
+    def test_all_zero_frame_rejected(self):
+        y = np.ones((3, 8), dtype=np.complex128)
+        y[1] = 0.0
+        with pytest.raises(ValueError, match="all-zero"):
+            signals._normalize_rows(y)
+
+
+class TestDataset:
+    def test_arrays_and_examples(self):
+        cfg = GenConfig(seed=110, M=4)
+        ds = make_dataset(cfg, 30)
+        assert isinstance(ds, Dataset) and len(ds) == 30
+        assert ds.x.shape == (30, 64, 2) and ds.x.dtype == np.float64
+        assert ds.counts.dtype == np.int64 and ds.amps.shape == (30, 4)
+        examples = list(ds)
+        assert len(examples) == 30
+        for i in (0, 13, -1, np.int64(29)):
+            ex = ds[i]
+            m = int(ds.counts[i])
+            assert ex.label.m == m and ex.x.shape == (64, 2)
+            npt.assert_array_equal(ex.x, ds.x[i])
+            npt.assert_array_equal(ex.label.freqs, ds.freqs[i, :m])
+            assert np.isnan(ds.freqs[i, m:]).all()
+            assert ex.snr_db == cfg.snr_db
+        npt.assert_array_equal(examples[13].x, ds[13].x)
+
+    def test_mask_and_slice_select_rows(self):
+        ds = make_dataset(GenConfig(seed=111), 40)
+        two = ds[ds.counts == 2]
+        assert isinstance(two, Dataset) and len(two) == int(np.sum(ds.counts == 2))
+        assert all(ex.label.m == 2 for ex in two)
+        head = ds[:5]
+        assert len(head) == 5
+        assert head[4].x.tobytes() == ds[4].x.tobytes()
+
+    def test_rows_must_agree(self):
+        ds = make_dataset(GenConfig(seed=112), 4)
+        with pytest.raises(ValueError, match="one row per frame"):
+            Dataset(x=ds.x, counts=ds.counts[:3], amps=ds.amps,
+                    freqs=ds.freqs, phases=ds.phases, snr_db=ds.snr_db)
 
 
 class TestDatasetFiles:
