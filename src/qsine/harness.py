@@ -25,7 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classical import aic_mdl_detect, classical_estimate
+from .classical import (
+    aic_mdl_counts,
+    check_nfft,
+    check_window,
+    periodogram_estimates,
+)
 from .losses import LossVector, detection_loss, normalized_chamfer_batch
 from .quantize import make_quantizer
 from .signals import Dataset, GenConfig, load_dataset, make_dataset, save_dataset
@@ -58,6 +63,8 @@ OOD_HEADER = EVAL_HEADER + ["freq_mode"]
 ALL_ALGORITHMS = ["nn_detect", "nn_est", "signalnet", "periodogram", "aic",
                   "mdl", "aic_periodogram"]
 CLASSICAL_ALGORITHMS = ["periodogram", "aic", "mdl", "aic_periodogram"]
+PERIODOGRAM_ALGORITHMS = {"periodogram", "aic_periodogram"}  # read --nfft
+EIGEN_ALGORITHMS = {"aic", "mdl", "aic_periodogram"}  # read --L
 
 _TAG_EVAL = 3000
 _TAG_OOD = 3100
@@ -347,6 +354,10 @@ def cmd_eval(args) -> int:
     grid = _snr_grid(args)
     bundle = load_signalnet(args.bundle) if args.bundle else None
     algorithms = _select_algorithms(args, bundle)
+    if PERIODOGRAM_ALGORITHMS & set(algorithms):
+        check_nfft(args.nfft, args.frame_len)
+    if EIGEN_ALGORITHMS & set(algorithms):
+        check_window(args.L, args.m_max, args.frame_len)
     rows: list[tuple] = []
     for bits in bits_list:
         qspec = make_quantizer(bits)
@@ -395,13 +406,8 @@ def _eval_estimator_cell(args, bits, m, snr, qspec, bundle, algorithms):
     thr = estimation_thresholds(m, args.frame_len)
     n = len(cell)
     if "periodogram" in wanted:
-        est_a = np.empty_like(At)
-        est_f = np.empty_like(Ft)
-        est_p = np.empty_like(Pt)
-        for i, x in enumerate(cell.x):
-            ps = classical_estimate(x, m, qspec=qspec, nfft=args.nfft,
-                                    peak_mode=args.peak_mode)
-            est_a[i], est_f[i], est_p[i] = ps.amps, ps.freqs, ps.phases
+        est_a, est_f, est_p = periodogram_estimates(cell.x, m, qspec,
+                                                    args.nfft)
         for metric, value in _estimator_metrics(est_a, est_f, est_p,
                                                 At, Ft, Pt, thr).items():
             rows.append(("periodogram", bits, m, snr, metric, value, n,
@@ -432,16 +438,14 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, algorithms):
     counts = cell.counts
     n = len(cell)
     classical_counts = {}
+    if EIGEN_ALGORITHMS & set(wanted):
+        classical_counts["aic"], classical_counts["mdl"] = aic_mdl_counts(
+            cell.x, qspec, L=args.L, Mmax=args.m_max)
     for crit in ("aic", "mdl"):
-        if crit in wanted or (crit == "aic" and "aic_periodogram" in wanted):
-            pred = np.array([
-                aic_mdl_detect(x, criterion=crit, qspec=qspec, L=args.L,
-                               Mmax=args.m_max) for x in cell.x])
-            classical_counts[crit] = pred
-            if crit in wanted:
-                loss = float(np.mean(detection_loss(counts, pred)))
-                rows.append((crit, bits, "joint", snr, "detection_loss", loss,
-                             n, args.seed))
+        if crit in wanted:
+            loss = float(np.mean(detection_loss(counts, classical_counts[crit])))
+            rows.append((crit, bits, "joint", snr, "detection_loss", loss,
+                         n, args.seed))
     if "nn_detect" in wanted and bundle is not None:
         pred = detect_count_batch(bundle.detection, X)
         loss = float(np.mean(detection_loss(counts, pred)))
@@ -457,13 +461,9 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, algorithms):
                      args.seed))
     if "aic_periodogram" in wanted:
         pred = classical_counts["aic"]
-        est = np.full((3, n, args.m_max), np.nan)
-        for i, x in enumerate(cell.x):
-            ps = classical_estimate(x, int(pred[i]), qspec=qspec,
-                                    nfft=args.nfft, peak_mode=args.peak_mode)
-            est[:, i, :ps.m] = ps.amps, ps.freqs, ps.phases
+        est = periodogram_estimates(cell.x, pred, qspec, args.nfft)
         rows.append(("aic_periodogram", bits, "joint", snr, "chamfer_norm",
-                     _chamfer_norm(cell, pred, tuple(est), args.frame_len), n,
+                     _chamfer_norm(cell, pred, est, args.frame_len), n,
                      args.seed))
     return rows
 
@@ -595,8 +595,6 @@ def build_parser() -> _Parser:
     e.add_argument("--nfft", type=int, default=2**16)
     e.add_argument("--L", type=int, default=16,
                    help="covariance subvector length for aic/mdl")
-    e.add_argument("--peak-mode", default="local_maxima",
-                   choices=["local_maxima", "top_m"])
     e.set_defaults(func=cmd_eval)
 
     o = sub.add_parser("ood", help="in-dist vs OOD estimator sweep")

@@ -1,20 +1,30 @@
 """Periodogram estimation and eigenvalue-criterion detection."""
+import math
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from qsine import classical
 from qsine.classical import (
     DEFAULT_NFFT,
     SpectrumEstimate,
+    aic_mdl_counts,
     aic_mdl_detect,
     classical_estimate,
+    periodogram_estimates,
     pick_peaks,
     zero_padded_dft,
 )
-from qsine.quantize import make_quantizer, quantize
+from qsine.quantize import bussgang_linearize, make_quantizer, quantize
 from qsine.signals import (
+    TWO_PI,
+    GenConfig,
     ParameterSet,
     add_noise,
+    from_iq,
+    make_dataset,
     normalize_power,
     substream,
     synthesize,
@@ -35,7 +45,7 @@ class TestZeroPaddedDft:
         x = rng.normal(size=64) + 1j * rng.normal(size=64)
         spec = zero_padded_dft(x, 256)
         npt.assert_allclose(spec.values, np.fft.fft(x, n=256), rtol=1e-12)
-        npt.assert_allclose(spec.magnitudes, np.abs(spec.values))
+        npt.assert_allclose(spec.magnitudes, np.abs(spec.values[:129]))
 
     def test_on_bin_tone_is_exact(self):
         # a tone at k0/nfft gives value N * a * e^{j phi} in bin k0
@@ -73,12 +83,6 @@ class TestPickPeaks:
         spec = _fake_spectrum(64, {10: 10.0, 12: 9.0, 30: 8.0})
         npt.assert_array_equal(pick_peaks(spec, 2, N=8), [10, 30])
 
-    def test_top_m_mode_ignores_guard(self):
-        mag = np.zeros(64)
-        mag[10], mag[11], mag[30] = 10.0, 9.5, 8.0
-        spec = SpectrumEstimate(64, mag.astype(complex), mag)
-        npt.assert_array_equal(pick_peaks(spec, 2, N=8, mode="top_m"), [10, 11])
-
     def test_degraded_pick_warns(self):
         spec = _fake_spectrum(64, {10: 10.0})
         with pytest.warns(RuntimeWarning, match="guarded local maxima"):
@@ -98,8 +102,6 @@ class TestPickPeaks:
         spec = _fake_spectrum(64, {10: 1.0})
         with pytest.raises(ValueError):
             pick_peaks(spec, 0, N=8)
-        with pytest.raises(ValueError, match="peak mode"):
-            pick_peaks(spec, 1, N=8, mode="bogus")
 
 
 class TestClassicalEstimate:
@@ -200,3 +202,220 @@ class TestAicMdl:
     def test_mmax_caps_answer(self):
         x = _noisy_frame(2, 30.0, 3)
         assert aic_mdl_detect(x, "mdl", Mmax=1) == 1
+
+
+# --------------------------------------------------------------------------
+# the stacked code against the frame-by-frame algorithms it replaced
+# --------------------------------------------------------------------------
+
+def _ref_frame(x, qspec):
+    x = np.asarray(x)
+    if qspec is not None:
+        return bussgang_linearize(x, qspec)
+    return x if np.iscomplexobj(x) else from_iq(x)
+
+
+def _ref_pick(mag, nfft, m, N):
+    """Guarded greedy pick over the full magnitude spectrum, with the
+    local maxima found by index gathers."""
+    lo, hi = 1, nfft // 2
+    guard = math.ceil(nfft / (2 * N))
+    k = np.arange(lo, hi)
+    candidates = k[(mag[k] > mag[k - 1]) & (mag[k] >= mag[k + 1])]
+    order = candidates[np.argsort(mag[candidates])[::-1]]
+    picked = []
+    for k in order:
+        if len(picked) == m:
+            break
+        if all(abs(k - p) >= guard for p in picked):
+            picked.append(int(k))
+    if len(picked) < m:
+        warnings.warn("degraded", RuntimeWarning)
+        blocked = np.zeros(nfft, dtype=bool)
+        for p in picked:
+            blocked[max(0, p - guard + 1) : p + guard] = True
+        rest = np.arange(lo, hi)
+        rest = rest[~blocked[lo:hi]]
+        for k in rest[np.argsort(mag[rest])[::-1]]:
+            if len(picked) == m:
+                break
+            if all(abs(k - p) >= guard for p in picked):
+                picked.append(int(k))
+        while len(picked) < m:
+            picked.append(int(lo))
+    return np.sort(np.asarray(picked, dtype=int))
+
+
+def _ref_estimate(x, m, qspec, nfft):
+    """Frame-by-frame periodogram: (amps, freqs, phases)."""
+    xt = _ref_frame(x, qspec)
+    N = len(xt)
+    vals = np.fft.fft(xt, n=nfft)
+    peaks = _ref_pick(np.abs(vals), nfft, m, N)
+    r = vals[peaks]
+    return np.abs(r) / N, peaks / nfft, np.mod(np.angle(r), TWO_PI)
+
+
+def _ref_count(x, criterion, qspec, L=16, Mmax=5):
+    """Frame-by-frame AIC/MDL count: one eigendecomposition per criterion."""
+    xt = _ref_frame(x, qspec)
+    N = len(xt)
+    K = N - L + 1
+    Y = np.lib.stride_tricks.sliding_window_view(xt, L).T
+    R = (Y @ Y.conj().T) / K
+    ev = np.clip(np.linalg.eigvalsh(R)[::-1].real, 1e-12, None)
+    best_k, best_score = 1, math.inf
+    for k in range(1, Mmax + 1):
+        tail = ev[k:]
+        log_gm = float(np.mean(np.log(tail)))
+        am = float(np.mean(tail))
+        llr = -K * (L - k) * (log_gm - math.log(am))
+        if criterion == "aic":
+            score = 2.0 * llr + 2.0 * k * (2 * L - k)
+        else:
+            score = llr + 0.5 * k * (2 * L - k) * math.log(K)
+        if score < best_score:
+            best_k, best_score = k, score
+    return best_k
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _cell(bits, snr, m_fixed, n, seed):
+    return make_dataset(GenConfig(bits=bits, snr_db=snr, m_fixed=m_fixed,
+                                  seed=seed), n)
+
+
+def _unquantized_stack(n, seed):
+    """(n, 64) complex frames of 1..5 tones in noise, never quantized."""
+    counts = 1 + np.arange(n) % 5
+    frames = [_noisy_frame(int(m), [-5.0, 5.0, 20.0][i % 3], seed + i)
+              for i, m in enumerate(counts)]
+    return np.stack(frames), counts
+
+
+class TestStackedPeriodogram:
+    @pytest.mark.parametrize("bits", [1, 3])
+    @pytest.mark.parametrize("nfft", [256, DEFAULT_NFFT])
+    @pytest.mark.parametrize("m_fixed", [None, 2])
+    def test_matches_frame_by_frame(self, bits, nfft, m_fixed):
+        q = make_quantizer(bits)
+        ds = _cell(bits, [-10.0, 0.0, 10.0][bits % 3], m_fixed, 24, 700 + bits)
+        counts = ds.counts if m_fixed is None else m_fixed
+        A, F, P = periodogram_estimates(ds.x, counts, q, nfft)
+        assert A.shape == (24, int(ds.counts.max()))
+        for i, x in enumerate(ds.x):
+            m = int(ds.counts[i])
+            want = _ref_estimate(x, m, q, nfft)
+            for got, ref in zip((A[i], F[i], P[i]), want):
+                assert _same_bits(got[:m], ref), i
+                assert np.isnan(got[m:]).all()
+
+    @pytest.mark.parametrize("nfft", [256, DEFAULT_NFFT])
+    def test_unquantized_complex_stack(self, nfft):
+        Z, counts = _unquantized_stack(15, 40)
+        A, F, P = periodogram_estimates(Z, counts, None, nfft)
+        for i, z in enumerate(Z):
+            m = int(counts[i])
+            want = _ref_estimate(z, m, None, nfft)
+            for got, ref in zip((A[i, :m], F[i, :m], P[i, :m]), want):
+                assert _same_bits(got, ref), i
+            ps = classical_estimate(z, m, nfft=nfft)
+            for got, ref in zip((ps.amps, ps.freqs, ps.phases), want):
+                assert _same_bits(got, ref), i
+
+    def test_one_frame_form_is_one_row(self):
+        q = make_quantizer(3)
+        ds = _cell(3, 5.0, 3, 5, 41)
+        A, F, P = periodogram_estimates(ds.x, 3, q)
+        for i in (0, 4):
+            ps = classical_estimate(ds.x[i], 3, qspec=q)
+            assert ps.m == 3
+            for got, row in zip((ps.amps, ps.freqs, ps.phases),
+                                (A[i], F[i], P[i])):
+                assert _same_bits(got, row)
+
+    def test_degraded_frame_still_warns(self):
+        # an all-zero frame has no local maximum: every pick is a fallback
+        Z, _ = _unquantized_stack(3, 50)
+        Z[1] = 0.0
+        with pytest.warns(RuntimeWarning, match="guarded local maxima"):
+            A, F, P = periodogram_estimates(Z, 3, None, 256)
+        for i, z in enumerate(Z):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                want = _ref_estimate(z, 3, None, 256)
+            assert len(caught) == (i == 1)
+            for got, ref in zip((A[i], F[i], P[i]), want):
+                assert _same_bits(got, ref), i
+
+    def test_tied_magnitudes(self):
+        # small integer magnitudes: plateaus and equal peaks everywhere
+        rng = substream(51, 0)
+        for trial in range(40):
+            nfft = 256
+            mag = rng.integers(0, 4, size=nfft).astype(float)
+            spec = SpectrumEstimate(nfft, mag.astype(complex), mag)
+            half = SpectrumEstimate(nfft, mag.astype(complex),
+                                    mag[: nfft // 2 + 1])
+            for m in (1, 3, 6):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    want = _ref_pick(mag, nfft, m, 16)
+                    npt.assert_array_equal(pick_peaks(spec, m, 16), want)
+                    npt.assert_array_equal(pick_peaks(half, m, 16), want)
+
+    def test_plateau_takes_its_left_edge(self):
+        spec = _fake_spectrum(64, {10: 5.0, 11: 5.0, 30: 5.0})
+        npt.assert_array_equal(pick_peaks(spec, 2, N=8), [10, 30])
+
+    def test_rejects_bad_nfft(self):
+        ds = _cell(3, 0.0, 1, 2, 52)
+        with pytest.raises(ValueError, match="power of two"):
+            periodogram_estimates(ds.x, 1, make_quantizer(3), 100)
+        with pytest.raises(ValueError, match="must be >="):
+            periodogram_estimates(ds.x, 1, make_quantizer(3), 32)
+
+
+class TestStackedAicMdl:
+    @pytest.mark.parametrize("bits", [1, 3])
+    @pytest.mark.parametrize("snr", [-10.0, 0.0, 10.0])
+    def test_matches_frame_by_frame(self, bits, snr):
+        q = make_quantizer(bits)
+        ds = _cell(bits, snr, None, 150, 800 + bits)
+        aic, mdl = aic_mdl_counts(ds.x, q)
+        assert aic.dtype == mdl.dtype == np.int64
+        want_aic = [_ref_count(x, "aic", q) for x in ds.x]
+        want_mdl = [_ref_count(x, "mdl", q) for x in ds.x]
+        npt.assert_array_equal(aic, want_aic)
+        npt.assert_array_equal(mdl, want_mdl)
+
+    def test_unquantized_complex_stack(self):
+        Z, _ = _unquantized_stack(60, 60)
+        aic, mdl = aic_mdl_counts(Z, None, L=12, Mmax=4)
+        for i, z in enumerate(Z):
+            assert aic[i] == _ref_count(z, "aic", None, L=12, Mmax=4), i
+            assert mdl[i] == _ref_count(z, "mdl", None, L=12, Mmax=4), i
+            assert aic_mdl_detect(z, "AIC", L=12, Mmax=4) == aic[i]
+
+    def test_chunk_remainder(self, monkeypatch):
+        q = make_quantizer(3)
+        ds = _cell(3, 0.0, None, 45, 61)
+        whole = aic_mdl_counts(ds.x, q)
+        for chunk in (1, 7, 44):
+            monkeypatch.setattr(classical, "EIG_CHUNK", chunk)
+            for got, want in zip(aic_mdl_counts(ds.x, q), whole):
+                npt.assert_array_equal(got, want)
+        npt.assert_array_equal(whole[1], [_ref_count(x, "mdl", q) for x in ds.x])
+
+    def test_rejects_bad_window_and_shape(self):
+        ds = _cell(1, 0.0, None, 2, 62)
+        with pytest.raises(ValueError, match="L must be"):
+            aic_mdl_counts(ds.x, make_quantizer(1), L=40)
+        with pytest.raises(ValueError, match="Mmax"):
+            aic_mdl_counts(ds.x, make_quantizer(1), L=4, Mmax=4)
+        with pytest.raises(ValueError, match="IQ stack"):
+            aic_mdl_counts(ds.x[0])

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsine import harness
 from qsine.harness import (
     EVAL_HEADER,
     OOD_HEADER,
@@ -239,6 +240,23 @@ class TestExitCodes:
             "eval", "--out", str(tmp_path / "e.csv"), "--algorithms", "mdl",
             "--snr-min", "5", "--snr-max", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--nfft", "100"], "nfft=100 must be a power of two"),
+        (["--nfft", "32"], "nfft=32 must be >= frame length 64"),
+        (["--L", "40"], "L must be in [1, N/2] = [1, 32], got 40"),
+    ])
+    def test_bad_classical_flags_before_any_frame(self, capsys, tmp_path,
+                                                  monkeypatch, flags, message):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("an eval cell was drawn")
+
+        monkeypatch.setattr(harness, "_cell_examples", no_cell)
+        out = tmp_path / "e.csv"
+        code, _, err = _run(capsys, ["eval", "--out", str(out), *flags])
+        assert code == 2
+        assert message in err
+        assert not out.exists()
 
     def test_version_exits_zero(self, capsys):
         code, out, _ = _run(capsys, ["--version"])

@@ -1,0 +1,70 @@
+"""sha256 of every output of a fixed, desk-size `qsine` command script.
+
+    python3 tools/output_digests.py                      # this checkout
+    python3 tools/output_digests.py --checkout <other>   # another checkout
+
+Runs `generate`, a tiny `train --task detection` and `--task estimator`,
+`eval` of aic,mdl and of periodogram,aic_periodogram at bits 1 and 3, `ood`
+on the trained estimator and `thresholds`, each as `python3 -m
+qsine.harness` with the checkout's `src` first on PYTHONPATH, into a
+temporary directory. Prints one `<sha256>  <file>` line per output, sorted
+by name. Two checkouts that print the same lines wrote byte-identical
+datasets, checkpoints, training logs and CSVs. A command that fails stops
+the script with its exit code.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SNR = ["--snr-min", "-10", "--snr-max", "10", "--snr-step", "10"]
+TRAIN = ["--bits", "3", "--samples", "240", "--epochs", "2", "--patience", "2",
+         "--batch-size", "8", "--snr-min", "0", "--snr-max", "20", "--seed", "7"]
+
+
+def script(out: Path) -> list[list[str]]:
+    return [
+        ["generate", "--bits", "3", "--count", "300", "--snr-spread", "true",
+         "--seed", "11", "--out", out / "gen"],
+        ["generate", "--bits", "1", "--count", "200", "--m", "2", "--freq-mode", "ood",
+         "--seed", "12", "--out", out / "gen_ood"],
+        ["train", "--task", "detection", *TRAIN, "--out", out / "det.ckpt"],
+        ["train", "--task", "estimator", "--m", "2", *TRAIN, "--out", out / "est_m2.ckpt"],
+        ["eval", "--algorithms", "aic,mdl", "--bits", "1,3", "--n", "150", *SNR,
+         "--seed", "13", "--out", out / "eval_aic_mdl.csv"],
+        *(["eval", "--algorithms", "periodogram,aic_periodogram", "--bits", b, "--n", "6", *SNR,
+           "--seed", "14", "--out", out / f"eval_periodogram_b{b}.csv"] for b in ("1", "3")),
+        ["ood", "--est-ckpt", out / "est_m2.ckpt", "--m", "2", "--bits", "3", "--n", "100", *SNR,
+         "--seed", "15", "--out", out / "ood.csv"],
+        ["thresholds", "--out", out / "thresholds.csv"],
+    ]
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent,
+                   help="repository whose src/ is run (default: this one)")
+    args = p.parse_args()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        x for x in (str(args.checkout.resolve() / "src"), os.environ.get("PYTHONPATH")) if x)
+    with tempfile.TemporaryDirectory(prefix="qsine-digests-") as tmp:
+        out = Path(tmp)
+        for argv in script(out):
+            cmd = [sys.executable, "-m", "qsine.harness", *map(str, argv)]
+            rc = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode
+            if rc != 0:
+                print(f"failed ({rc}): {' '.join(map(str, argv))}", file=sys.stderr)
+                return rc
+        for path in sorted(f for f in out.rglob("*") if f.is_file()):
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
