@@ -15,10 +15,21 @@ serialized with repr, so reruns are byte-identical. Exit codes: 0 success,
 """
 from __future__ import annotations
 
+import os
+
+# One BLAS thread unless the caller chose otherwise: the networks' matrices
+# are too small to gain from threads, and a threaded BLAS that competes with
+# another process for a core runs many times slower. This must precede the
+# first numpy import, so it sits above the imports that pull numpy in.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import csv
+import ctypes
 import io
 import math
+import platform
 import sys
 from pathlib import Path
 
@@ -38,13 +49,13 @@ from .signalnet import (
     TrainConfig,
     SignalNetModel,
     detect_count_batch,
+    estimate_by_count,
     estimator_forward_batch,
     load_estimator,
     load_signalnet,
     save_estimator,
     save_network,
     save_signalnet,
-    signalnet_infer_arrays,
     train_detection,
     train_estimator,
 )
@@ -446,19 +457,19 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, algorithms):
             loss = float(np.mean(detection_loss(counts, classical_counts[crit])))
             rows.append((crit, bits, "joint", snr, "detection_loss", loss,
                          n, args.seed))
-    if "nn_detect" in wanted and bundle is not None:
+    if bundle is not None and {"nn_detect", "signalnet"} & set(wanted):
+        # signalnet's count is the detector's: one forward serves both rows
         pred = detect_count_batch(bundle.detection, X)
         loss = float(np.mean(detection_loss(counts, pred)))
-        rows.append(("nn_detect", bits, "joint", snr, "detection_loss", loss,
-                     n, args.seed))
-    if "signalnet" in wanted and bundle is not None:
-        pred, est = signalnet_infer_arrays(bundle, X)
-        loss = float(np.mean(detection_loss(counts, pred)))
-        rows.append(("signalnet", bits, "joint", snr, "detection_loss", loss,
-                     n, args.seed))
-        rows.append(("signalnet", bits, "joint", snr, "chamfer_norm",
-                     _chamfer_norm(cell, pred, est, args.frame_len), n,
-                     args.seed))
+        for algo in ("nn_detect", "signalnet"):
+            if algo in wanted:
+                rows.append((algo, bits, "joint", snr, "detection_loss",
+                             loss, n, args.seed))
+        if "signalnet" in wanted:
+            est = estimate_by_count(bundle, X, pred)
+            rows.append(("signalnet", bits, "joint", snr, "chamfer_norm",
+                         _chamfer_norm(cell, pred, est, args.frame_len), n,
+                         args.seed))
     if "aic_periodogram" in wanted:
         pred = classical_counts["aic"]
         est = periodogram_estimates(cell.x, pred, qspec, args.nfft)
@@ -629,6 +640,35 @@ def _postprocess(args) -> None:
         args.snr_spread = args.snr_spread == "true"
 
 
+# glibc's mallopt parameter codes (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _set_heap_policy() -> None:
+    """Keeps freed work buffers in the process heap for reuse (glibc only).
+
+    Each periodogram frame allocates about 1.9 MB of FFT buffers, and each
+    network layer its activations. Under glibc's dynamic thresholds these
+    are mapped and unmapped, or trimmed off the heap top, on every call, so
+    every call faults its pages in afresh: about 480 minor faults per
+    periodogram frame. Fixing both thresholds stops that; fixing either one
+    alone does not. 32 MiB is the highest mmap threshold glibc's dynamic
+    rule reaches on 64-bit, so nothing is mapped that the default would
+    have kept on the heap; 64 MiB is the trim threshold that rule pairs
+    with it. Smaller fixed values did worse: 2/4 MiB cured the FFT loop but
+    mapped every nn inference chunk afresh, 2.6 times the faults of the
+    default on `eval` of nn_detect,signalnet.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -636,6 +676,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = _inject_config(argv)
         args = parser.parse_args(argv)
         _postprocess(args)
+        _set_heap_policy()
         return args.func(args)
     except SystemExit as exc:
         code = exc.code

@@ -555,13 +555,20 @@ def signalnet_infer_arrays(model: SignalNetModel, X: np.ndarray):
     each (B, K) float64 with K the largest count detected; row b holds its
     counts[b] estimates and NaN after them."""
     counts = detect_count_batch(model.detection, X)
+    return counts, estimate_by_count(model, X, counts)
+
+
+def estimate_by_count(model: SignalNetModel, X: np.ndarray, counts: np.ndarray):
+    """Runs each frame through the chain of its given count: (amps, freqs,
+    phases), each (B, K) float64 with K = counts.max(); row b holds its
+    counts[b] estimates and NaN after them."""
     est = np.full((3, len(X), int(counts.max(initial=0))), np.nan)
     for mhat in np.unique(counts).tolist():
         if mhat not in model.estimators:
             raise KeyError(f"no estimator for detected count {mhat}")
         idx = np.flatnonzero(counts == mhat)
         est[:, idx, :mhat] = estimator_forward_batch(model.estimators[mhat], X[idx])
-    return counts, tuple(est)
+    return tuple(est)
 
 
 def signalnet_infer_batch(model: SignalNetModel, X: np.ndarray):

@@ -2,12 +2,17 @@
 import csv
 import io
 import math
+import os
+import platform
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsine import harness
+from qsine import harness, signalnet
 from qsine.harness import (
     EVAL_HEADER,
     OOD_HEADER,
@@ -349,6 +354,35 @@ class TestEvalCommand:
         _, rows = _read_csv(out.read_text())
         assert {r[0] for r in rows} == {"mdl", "threshold"}
 
+    def test_one_detection_forward_per_joint_cell(self, capsys, tmp_path,
+                                                  monkeypatch, bundle_b3_dir):
+        # nn_detect and signalnet score the same counts; the harness must
+        # not run the detector twice on a cell
+        calls = []
+        real = signalnet.detect_count_batch
+
+        def counting(net, X, *a, **kw):
+            calls.append(len(X))
+            return real(net, X, *a, **kw)
+
+        monkeypatch.setattr(harness, "detect_count_batch", counting)
+        monkeypatch.setattr(signalnet, "detect_count_batch", counting)
+        out = tmp_path / "joint.csv"
+        argv = ["eval", "--out", str(out), "--n", "5", "--bits", "3",
+                "--snr-min", "0", "--snr-max", "1", "--snr-step", "1",
+                "--algorithms", "nn_detect,signalnet",
+                "--bundle", str(bundle_b3_dir), "--seed", "5"]
+        code, _, _ = _run(capsys, argv)
+        assert code == 0
+        assert calls == [5, 5]  # one per (bits, snr) cell
+        _, rows = _read_csv(out.read_text())
+        loss = {(r[0], r[3]): r[5] for r in rows
+                if r[4] == "detection_loss" and r[0] != "threshold"}
+        for snr in ("0.0", "1.0"):
+            assert loss["nn_detect", snr] == loss["signalnet", snr]
+        assert sum(r[0] == "signalnet" and r[4] == "chamfer_norm"
+                   for r in rows) == 2
+
 
 # --------------------------------------------------------------------------
 # ood
@@ -454,6 +488,55 @@ class TestTrainCommand:
             assert len(rows) == 1, name
         model = load_signalnet(out)
         assert model.M == 2 and sorted(model.estimators) == [1, 2]
+
+
+# --------------------------------------------------------------------------
+# process settings of the CLI
+# --------------------------------------------------------------------------
+
+def _cli_env(**overrides) -> dict:
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        x for x in (src, os.environ.get("PYTHONPATH")) if x)
+    env.update(overrides)
+    return env
+
+
+class TestProcessSettings:
+    def test_blas_pinned_unless_caller_chose(self):
+        probe = ("import os, qsine.harness; print(','.join(os.environ[v] "
+                 "for v in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', "
+                 "'MKL_NUM_THREADS')))")
+
+        def run(env):
+            return subprocess.run([sys.executable, "-c", probe], env=env,
+                                  check=True, text=True,
+                                  stdout=subprocess.PIPE).stdout.strip()
+
+        assert run(_cli_env()) == "1,1,1"
+        assert run(_cli_env(OPENBLAS_NUM_THREADS="2")) == "2,1,1"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap policy is set through glibc's mallopt")
+    def test_periodogram_frames_reuse_the_heap(self, tmp_path):
+        # Minor faults of the marginal frames: without the heap policy every
+        # 65536-point FFT maps fresh buffers, about 480 faults a frame.
+        def faults(n):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+            subprocess.run(
+                [sys.executable, "-m", "qsine.harness", "eval",
+                 "--algorithms", "periodogram", "--bits", "3",
+                 "--snr-min", "0", "--snr-max", "0", "--n", str(n),
+                 "--out", str(tmp_path / f"n{n}.csv")],
+                env=_cli_env(), check=True, stdout=subprocess.DEVNULL)
+            return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+        frames = 5 * (10 - 2)  # m = 1..5 cells, 8 more frames each
+        per_frame = (faults(10) - faults(2)) / frames
+        assert per_frame < 20, f"{per_frame:.1f} minor faults per frame"
 
 
 # --------------------------------------------------------------------------
