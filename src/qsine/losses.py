@@ -37,23 +37,11 @@ def detection_loss(m, mhat):
     return out
 
 
-def multi_mse(c: np.ndarray, chat: np.ndarray) -> float:
-    """Mean squared error over a stacked parameter vector: ||c - chat||^2 / p."""
-    c = np.asarray(c, dtype=np.float64)
-    chat = np.asarray(chat, dtype=np.float64)
-    if c.shape != chat.shape:
-        raise ValueError(f"length mismatch: {c.shape} vs {chat.shape}")
-    if c.size == 0:
-        raise ValueError("multi_mse requires at least one element")
-    return float(np.mean((c - chat) ** 2))
-
-
 def chamfer(f: np.ndarray, fhat: np.ndarray) -> float:
     """Symmetric nearest-neighbor distance between two value sets.
 
     sum_i min_k |f_i - fhat_k| + sum_i min_k |fhat_i - f_k|. Both sides must
-    be nonempty; callers comparing against an empty estimate substitute
-    empty_side_penalty() instead.
+    be nonempty.
     """
     f = np.atleast_1d(np.asarray(f, dtype=np.float64))
     fhat = np.atleast_1d(np.asarray(fhat, dtype=np.float64))
@@ -68,11 +56,6 @@ def _chamfer_rows(F: np.ndarray, Fhat: np.ndarray) -> np.ndarray:
         raise ValueError("chamfer requires nonempty vectors on both sides")
     d = np.abs(F[:, :, None] - Fhat[:, None, :])
     return d.min(axis=2).sum(axis=1) + d.min(axis=1).sum(axis=1)
-
-
-def empty_side_penalty(values: np.ndarray) -> float:
-    """Sentinel Chamfer penalty when one side of the comparison is empty."""
-    return float(2.0 * np.sum(np.abs(values)))
 
 
 def effective_loss(ell, thresholds, m: int) -> float:

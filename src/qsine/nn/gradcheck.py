@@ -21,14 +21,14 @@ def finite_diff_check(
     x: np.ndarray,
     h: float = 1e-5,
     max_entries: int = 5,
-    train: bool = True,
     rng: np.random.Generator | None = None,
 ) -> dict:
     """Compares analytic parameter gradients against central differences.
 
     loss_fn maps the forward-value dict to (scalar loss, dict of output-node
     gradients). Checks up to max_entries randomly chosen entries per
-    parameter tensor. Dropout masks are frozen for the duration so the loss
+    parameter tensor. Forwards run in training mode, the mode backward
+    differentiates; dropout masks are frozen for the duration so the loss
     is a deterministic function of the parameters.
 
     Returns a report dict with max_rel_err, worst_param and n_checked.
@@ -50,13 +50,13 @@ def finite_diff_check(
 
     try:
         net.zero_grads()
-        values = net.forward(x, train=train)  # materializes dropout masks
+        values = net.forward(x, train=True)  # materializes dropout masks
         _, out_grads = loss_fn(values)
         net.backward(out_grads)
         analytic = {k: v.copy() for k, v in net.named_grads().items()}
 
         def loss_at() -> float:
-            vals = net.forward(x, train=train)
+            vals = net.forward(x, train=True)
             return float(loss_fn(vals)[0])
 
         max_rel = 0.0

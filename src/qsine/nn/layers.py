@@ -1,8 +1,11 @@
 """Layers for the small numpy network engine.
 
-Every layer follows the same contract: ``forward(x, train)`` caches what the
-backward pass needs, ``backward(dy)`` returns the gradient w.r.t. the input
-and fills ``self.grads`` (same keys as ``self.params``). Parameters live in
+Every layer follows the same contract: ``forward(x, train=True)`` caches
+what the backward pass needs, ``backward(dy)`` returns the gradient w.r.t.
+the input and fills ``self.grads`` (same keys as ``self.params``). An
+inference forward (``train=False``) computes only the output and drops the
+cache, so inference memory is the activations alone and a backward after it
+raises instead of differentiating the last training batch. Parameters live in
 ``self.params``, non-trained buffers (BatchNorm running stats) in
 ``self.state``. ``config()`` + ``from_config()`` round-trip a layer through
 the checkpoint format.
@@ -41,12 +44,23 @@ class Layer:
         self.grads: dict[str, np.ndarray] = {}
         self.state: dict[str, np.ndarray] = {}
         self.dtype = np.float32
+        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _saved(self):
+        """The backward state the last forward kept; a RuntimeError if that
+        forward ran in inference mode."""
+        if self._cache is None:
+            raise RuntimeError(
+                f"{type(self).__name__}.backward needs a forward with train=True "
+                "first: the last forward ran with train=False and kept no "
+                "backward state")
+        return self._cache
 
     def backward_params(self, dy: np.ndarray) -> None:
         """Fills ``self.grads`` only, for a layer whose input needs no
@@ -102,7 +116,7 @@ class Conv1D(Layer):
         B, L, C = x.shape
         xp = np.zeros((B, L + k - 1, C), dtype=x.dtype)
         xp[:, pl : pl + L, :] = x
-        self._xp = xp
+        self._cache = xp if train else None
         w = self.params["w"]
         out = np.empty((B, L, self.out_channels), dtype=x.dtype)
         out[...] = self.params["b"]
@@ -112,7 +126,7 @@ class Conv1D(Layer):
 
     def backward_params(self, dy):
         k = self.kernel
-        xp = self._xp
+        xp = self._saved()
         L, cout = dy.shape[1:]
         self.grads["b"] += dy.sum(axis=(0, 1))
         # one product for all taps: rows t*Cin..(t+1)*Cin hold the (Cin, B*L)
@@ -127,7 +141,7 @@ class Conv1D(Layer):
         k = self.kernel
         L = dy.shape[1]
         w = self.params["w"]
-        dxp = np.zeros_like(self._xp)
+        dxp = np.zeros_like(self._saved())
         for t in range(k):
             dxp[:, t : t + L, :] += dy @ w[t].T
         pl = (k - 1) // 2
@@ -156,28 +170,28 @@ class MaxPool1D(Layer):
             pad = np.full((B, Lp - L, C), -np.inf, dtype=x.dtype)
             x = np.concatenate([x, pad], axis=1)
         win = x.reshape(B, Lp // s, s, C)
-        # running maximum over the window; takes[j-1] marks where slot j
-        # beat every earlier slot, so the gradient goes to the first maximum
-        # (np.argmax's choice for NaN-free input)
+        # running maximum over the window; in training, takes[j-1] marks
+        # where slot j beat every earlier slot, so the gradient goes to the
+        # first maximum (np.argmax's choice for NaN-free input)
         out = win[:, :, 0, :]
         takes = []
         for j in range(1, s):
             cand = win[:, :, j, :]
-            takes.append(cand > out)
+            if train:
+                takes.append(cand > out)
             out = np.maximum(out, cand)
-        self._takes = takes
-        self._in_len = L
-        self._padded_shape = x.shape
+        self._cache = (takes, L, x.shape) if train else None
         return out.copy() if s == 1 else out
 
     def backward(self, dy):
-        B, Lp, C = self._padded_shape
+        takes, in_len, padded_shape = self._saved()
+        B, Lp, C = padded_shape
         s = self.size
-        dxp = np.empty(self._padded_shape, dtype=dy.dtype).reshape(B, Lp // s, s, C)
+        dxp = np.empty(padded_shape, dtype=dy.dtype).reshape(B, Lp // s, s, C)
         # slot j holds the maximum where it was taken and no later slot was
         later = None
         for j in range(s - 1, 0, -1):
-            take = self._takes[j - 1]
+            take = takes[j - 1]
             won = take if later is None else take & ~later
             np.multiply(dy, won, out=dxp[:, :, j, :])
             later = take if later is None else later | take
@@ -185,7 +199,7 @@ class MaxPool1D(Layer):
             dxp[:, :, 0, :] = dy
         else:
             np.multiply(dy, ~later, out=dxp[:, :, 0, :])
-        return dxp.reshape(B, Lp, C)[:, : self._in_len, :]
+        return dxp.reshape(B, Lp, C)[:, :in_len, :]
 
     def config(self):
         return {"size": self.size}
@@ -246,18 +260,16 @@ class BatchNorm1D(Layer):
             centred = x - mu
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = centred * inv_std
-        self._cache = (xhat, inv_std, axes, train)
+        self._cache = (xhat, inv_std, axes) if train else None
         return self.params["gamma"] * xhat + self.params["beta"]
 
     def backward(self, dy):
-        xhat, inv_std, axes, train = self._cache
+        xhat, inv_std, axes = self._saved()
         gamma = self.params["gamma"]
         dbeta = dy.sum(axis=axes)
         dgamma = (dy * xhat).sum(axis=axes)
         self.grads["gamma"] += dgamma
         self.grads["beta"] += dbeta
-        if not train:
-            return dy * gamma * inv_std
         n = dy.size // dy.shape[-1]
         return gamma * inv_std * (dy - dbeta / n - xhat * dgamma / n)
 
@@ -283,11 +295,11 @@ class Dense(Layer):
         self.zero_grads()
 
     def forward(self, x, train=False):
-        self._x = x
+        self._cache = x if train else None
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, dy):
-        self.grads["w"] += self._x.T @ dy
+        self.grads["w"] += self._saved().T @ dy
         self.grads["b"] += dy.sum(axis=0)
         return dy @ self.params["w"].T
 
@@ -309,28 +321,29 @@ class Activation(Layer):
 
     def forward(self, x, train=False):
         if self.fn == "relu":
-            self._mask = x > 0
+            self._cache = (x > 0) if train else None
             return np.maximum(x, 0)
         if self.fn == "selu":
-            self._x = x
+            self._cache = x if train else None
             return SELU_LAMBDA * np.where(x > 0, x, SELU_ALPHA * np.expm1(x))
         if self.fn == "softmax":
             z = x - x.max(axis=-1, keepdims=True)
             e = np.exp(z)
-            self._p = e / e.sum(axis=-1, keepdims=True)
-            return self._p
+            p = e / e.sum(axis=-1, keepdims=True)
+            self._cache = p if train else None
+            return p
         return x
 
     def backward(self, dy):
+        if self.fn == "linear":
+            return dy
         if self.fn == "relu":
-            return dy * self._mask
+            return dy * self._saved()  # the mask x > 0
         if self.fn == "selu":
-            x = self._x
+            x = self._saved()
             return dy * SELU_LAMBDA * np.where(x > 0, 1.0, SELU_ALPHA * np.exp(x)).astype(dy.dtype)
-        if self.fn == "softmax":
-            p = self._p
-            return p * (dy - (dy * p).sum(axis=-1, keepdims=True))
-        return dy
+        p = self._saved()  # softmax output
+        return p * (dy - (dy * p).sum(axis=-1, keepdims=True))
 
     def config(self):
         return {"fn": self.fn}

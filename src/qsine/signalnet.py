@@ -44,20 +44,14 @@ _TAG_EPOCH = 7001
 _TAG_DETECT_NET = 11
 _TAG_BLOCK_NET = 13
 
+# rows per forward-only pass, so inference memory is one chunk's activations
+# whatever the batch size (see _row_chunks)
+INFER_ROWS = 128
+
 
 # --------------------------------------------------------------------------
-# reconstruction
+# tone cancellation
 # --------------------------------------------------------------------------
-
-def reconstruct(amps, freqs, phases, N: int) -> np.ndarray:
-    """Complex frame sum_i a_i exp(j(2 pi f_i n + phi_i)), n = 0..N-1."""
-    a = np.atleast_1d(np.asarray(amps, dtype=np.float64))
-    f = np.atleast_1d(np.asarray(freqs, dtype=np.float64))
-    p = np.atleast_1d(np.asarray(phases, dtype=np.float64))
-    n = np.arange(N)
-    theta = TWO_PI * f[:, None] * n + p[:, None]
-    return (a[:, None] * np.exp(1j * theta)).sum(axis=0)
-
 
 def _tone_fit(R, f, N):
     # unit tones e = exp(j 2 pi f n) per row, the residuals r as complex,
@@ -218,8 +212,9 @@ def _forward_chain(est: SinusoidEstimator, X: np.ndarray, train: bool,
                    inputs: list | None = None):
     """Runs all blocks on residuals; returns per-head (B, m) arrays.
 
-    Leaves each block's layer caches populated (one backward per block may
-    follow). If given, `inputs` collects each block's input residual."""
+    With train True each block's layer caches stay populated (one backward
+    per block may follow). If given, `inputs` collects each block's input
+    residual."""
     R = np.ascontiguousarray(X, dtype=_chain_dtype(est))
     a_cols, f_cols, p_cols = [], [], []
     for k, net in enumerate(est.blocks):
@@ -234,15 +229,38 @@ def _forward_chain(est: SinusoidEstimator, X: np.ndarray, train: bool,
     return np.stack(a_cols, 1), np.stack(f_cols, 1), np.stack(p_cols, 1)
 
 
+def _row_chunks(n: int) -> list[slice]:
+    """Cuts rows 0..n at multiples of INFER_ROWS; a last chunk shorter than
+    INFER_ROWS // 2 joins the one before it, so n <= INFER_ROWS is one chunk.
+
+    The merge keeps the bytes of a whole-batch forward: OpenBLAS multiplies a
+    product of few rows by other kernels (gemv for one row, a small-matrix
+    kernel for two), which change the last bits, while every chunk of 64 rows
+    or more gives each row the bits it has in the whole batch."""
+    cuts = list(range(INFER_ROWS, n, INFER_ROWS))
+    if cuts and n - cuts[-1] < INFER_ROWS // 2:
+        cuts.pop()
+    bounds = [0, *cuts, n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _infer_chunks(forward, X: np.ndarray) -> tuple:
+    """The forward-only pass of every network: forward(rows) on each row
+    chunk of X, its outputs (a tuple of arrays with rows first) concatenated."""
+    parts = [forward(X[rows]) for rows in _row_chunks(len(X))]
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
 def estimator_forward_batch(est: SinusoidEstimator, X: np.ndarray):
-    """Inference over a batch of IQ frames -> (amps, freqs, phases), (B, m)."""
-    return _forward_chain(est, X, train=False)
+    """Inference over a batch of IQ frames -> (amps, freqs, phases), (B, m).
+    Each row chunk runs through the whole chain before the next."""
+    return _infer_chunks(lambda R: _forward_chain(est, R, train=False), X)
 
 
 def forward_estimator(est: SinusoidEstimator, x: np.ndarray) -> ParameterSet:
     """Single-frame inference. Heads are ordered by block (trained against
     frequency-sorted targets) but the outputs are reported as produced."""
-    A, F, P = _forward_chain(est, x[None], train=False)
+    A, F, P = estimator_forward_batch(est, x[None])
     return ParameterSet(m=est.m, amps=A[0], freqs=F[0], phases=P[0])
 
 
@@ -378,13 +396,21 @@ def detection_batch_grads(net: Network, X: np.ndarray, counts: np.ndarray):
     return loss, net.named_grads()
 
 
+def _detection_probs(net: Network, X: np.ndarray) -> np.ndarray:
+    """Inference class distributions (B, M) of a batch of frames."""
+    (probs,) = _infer_chunks(
+        lambda R: (net.forward(np.asarray(R, dtype=np.float32), train=False)["probs"],), X)
+    return probs
+
+
 def _detection_loss_eval(net: Network, X: np.ndarray, counts: np.ndarray,
                          chunk: int = 1024) -> float:
+    probs = _detection_probs(net, X)
     total = 0.0
     for i in range(0, len(X), chunk):
-        probs = net.forward(X[i : i + chunk], train=False)["probs"]
-        loss, _ = _expected_count_loss(probs, counts[i : i + chunk])
-        total += loss * len(probs)
+        p = probs[i : i + chunk]
+        loss, _ = _expected_count_loss(p, counts[i : i + chunk])
+        total += loss * len(p)
     return total / len(X)
 
 
@@ -407,14 +433,9 @@ def train_detection(dataset: Dataset, cfg: TrainConfig,
     return net, history
 
 
-def detect_count_batch(net: Network, X: np.ndarray, chunk: int = 4096) -> np.ndarray:
+def detect_count_batch(net: Network, X: np.ndarray) -> np.ndarray:
     """Hard count decisions: argmax of the class distribution, as counts 1..M."""
-    out = []
-    for i in range(0, len(X), chunk):
-        probs = net.forward(np.asarray(X[i : i + chunk], dtype=np.float32),
-                            train=False)["probs"]
-        out.append(probs.argmax(axis=1) + 1)
-    return np.concatenate(out)
+    return _detection_probs(net, X).argmax(axis=1) + 1
 
 
 def detect_count(net: Network, x: np.ndarray) -> int:
@@ -492,12 +513,12 @@ def _chain_params(est: SinusoidEstimator) -> dict[str, np.ndarray]:
 def _eval_estimator_loss(est: SinusoidEstimator, X, At, Ft, Pt,
                          chunk: int = 2048) -> float:
     thr = estimation_thresholds(est.m, est.N)
+    heads = estimator_forward_batch(est, X)
     total = 0.0
     for i in range(0, len(X), chunk):
-        A, F, P = _forward_chain(est, X[i : i + chunk], train=False)
+        A, F, P = (h[i : i + chunk].astype(np.float64) for h in heads)
         loss, *_ = _eff_loss_and_head_grads(
-            A.astype(np.float64), F.astype(np.float64), P.astype(np.float64),
-            At[i : i + chunk], Ft[i : i + chunk], Pt[i : i + chunk], thr)
+            A, F, P, At[i : i + chunk], Ft[i : i + chunk], Pt[i : i + chunk], thr)
         total += loss * len(A)
     return total / len(X)
 

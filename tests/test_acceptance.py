@@ -337,7 +337,7 @@ class TestGradientCorrectness:
             return float((p * C).sum() / len(p)), {"probs": C / len(p)}
 
         rep = finite_diff_check(net, loss_fn, x, h=1e-5, max_entries=5,
-                                train=True, rng=np.random.default_rng(1))
+                                rng=np.random.default_rng(1))
         assert rep["max_rel_err"] <= 1e-5, rep
         assert time.perf_counter() - t0 < 60.0
 
@@ -353,7 +353,7 @@ class TestGradientCorrectness:
             return loss, {"probs": dprobs}
 
         rep = finite_diff_check(net, loss_fn, X, h=1e-5, max_entries=3,
-                                train=True, rng=np.random.default_rng(5))
+                                rng=np.random.default_rng(5))
         assert rep["max_rel_err"] <= 1e-5, rep
 
     def test_estimator_training_loss(self):

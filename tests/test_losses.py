@@ -1,4 +1,4 @@
-"""Detection loss, multi-target MSE, Chamfer distances, unified loss."""
+"""Detection loss, Chamfer distances, unified loss."""
 import numpy as np
 import pytest
 
@@ -7,8 +7,6 @@ from qsine.losses import (
     chamfer,
     detection_loss,
     effective_loss,
-    empty_side_penalty,
-    multi_mse,
     normalized_chamfer,
     normalized_chamfer_batch,
 )
@@ -41,17 +39,6 @@ class TestDetectionLoss:
         assert out[0, 1] == 0.0 and out[1, 2] == 0.0
 
 
-class TestMultiMse:
-    def test_matches_mean_square(self):
-        c = np.array([1.0, 2.0, 3.0])
-        chat = np.array([1.5, 2.0, 2.0])
-        assert multi_mse(c, chat) == pytest.approx((0.25 + 0 + 1) / 3)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            multi_mse(np.ones(2), np.ones(3))
-
-
 class TestChamfer:
     def test_identical_sets_zero(self):
         f = np.array([0.1, 0.2, 0.4])
@@ -77,9 +64,6 @@ class TestChamfer:
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError):
             chamfer(np.array([]), np.array([0.1]))
-
-    def test_empty_side_penalty(self):
-        assert empty_side_penalty(np.array([0.5, -0.25])) == pytest.approx(1.5)
 
 
 class TestEffectiveLoss:

@@ -84,14 +84,14 @@ class TestMaxPool1DForward:
     def test_backward_routes_to_argmax(self):
         pool = MaxPool1D(2)
         x = np.array([3.0, 1.0, 5.0, 2.0]).reshape(1, 4, 1)
-        pool.forward(x)
+        pool.forward(x, train=True)
         dx = pool.backward(np.array([10.0, 20.0]).reshape(1, 2, 1))
         npt.assert_allclose(dx[0, :, 0], [10.0, 0.0, 20.0, 0.0])
 
     def test_tie_goes_to_first_index(self):
         pool = MaxPool1D(2)
         x = np.array([2.0, 2.0]).reshape(1, 2, 1)
-        pool.forward(x)
+        pool.forward(x, train=True)
         dx = pool.backward(np.ones((1, 1, 1)))
         npt.assert_allclose(dx[0, :, 0], [1.0, 0.0])
 
@@ -100,7 +100,7 @@ class TestMaxPool1DForward:
         # small integers make ties common; a tail that needs padding too
         pool = MaxPool1D(size)
         x = _rng(5).integers(0, 3, size=(4, 4 * size + 1, 3)).astype(np.float32)
-        out = pool.forward(x)
+        out = pool.forward(x, train=True)
         dy = _rng(6).normal(size=out.shape).astype(np.float32)
         dx = pool.backward(dy)
         L = -(-x.shape[1] // size) * size
@@ -243,6 +243,60 @@ class TestFlatten:
         out = f.forward(x)
         assert out.shape == (2, 12)
         npt.assert_array_equal(f.backward(out), x)
+
+
+# every layer kind whose backward reads a forward cache, and its input rank
+_STATEFUL = {
+    "conv1d": (lambda rng: Conv1D(2, 3, 3, rng=rng), 3),
+    "maxpool2": (lambda rng: MaxPool1D(2), 3),
+    "maxpool4": (lambda rng: MaxPool1D(4), 3),
+    "batchnorm": (lambda rng: BatchNorm1D(2), 3),
+    "dense": (lambda rng: Dense(2, 3, rng=rng), 2),
+    "relu": (lambda rng: Activation("relu"), 2),
+    "selu": (lambda rng: Activation("selu"), 2),
+    "softmax": (lambda rng: Activation("softmax"), 2),
+}
+
+
+def _stateful(kind):
+    rng = _rng(30)
+    make, ndim = _STATEFUL[kind]
+    shape = (4, 6, 2) if ndim == 3 else (4, 2)
+    return make(rng), rng.normal(size=shape).astype(np.float32)
+
+
+class TestInferenceForward:
+    @pytest.mark.parametrize("kind", sorted(_STATEFUL))
+    def test_backward_after_inference_raises(self, kind):
+        layer, x = _stateful(kind)
+        dy = np.ones_like(layer.forward(x, train=True))
+        layer.backward(dy)
+        layer.forward(x, train=False)
+        with pytest.raises(RuntimeError, match="train=False"):
+            layer.backward(dy)
+
+    @pytest.mark.parametrize("kind", sorted(set(_STATEFUL) - {"batchnorm"}))
+    def test_same_output_as_training_forward(self, kind):
+        # BatchNorm is left out: its two modes normalize by different stats
+        layer, x = _stateful(kind)
+        want = layer.forward(x, train=True)
+        assert layer.forward(x, train=False).tobytes() == want.tobytes()
+
+    def test_network_backward_after_inference_raises(self):
+        # the last training batch's caches must not be differentiated
+        rng = _rng(31)
+        net = Network()
+        net.add("conv", Conv1D(2, 4, 3, rng=rng), "x")
+        net.add("bn", BatchNorm1D(4), "conv")
+        net.add("flat", Flatten(), "bn")
+        net.add("fc", Dense(32, 1, rng=rng), "flat")
+        x = rng.normal(size=(3, 8, 2)).astype(np.float32)
+        dout = np.ones((3, 1), np.float32)
+        net.forward(x, train=True)
+        net.backward({"fc": dout})
+        net.forward(x, train=False)
+        with pytest.raises(RuntimeError, match="kept no backward state"):
+            net.backward({"fc": dout})
 
 
 # --------------------------------------------------------------------------
@@ -389,7 +443,7 @@ class TestFiniteDifference:
         x = rng.normal(size=(5, 6, 1))
         target = rng.normal(size=(5, 2))
         rep = finite_diff_check(net, lambda v: _mse_loss(v, "out", target), x,
-                                h=1e-5, max_entries=6, train=True)
+                                h=1e-5, max_entries=6)
         assert rep["max_rel_err"] <= 1e-5, rep
 
     def test_selu_softmax_head(self):
@@ -422,7 +476,7 @@ class TestFiniteDifference:
         x = rng.normal(size=(4, 6, 1))
         target = rng.normal(size=(4, 2))
         rep = finite_diff_check(net, lambda v: _mse_loss(v, "out", target), x,
-                                h=1e-5, max_entries=6, train=True)
+                                h=1e-5, max_entries=6)
         assert rep["max_rel_err"] <= 1e-5, rep
 
     def test_rejects_float32(self):

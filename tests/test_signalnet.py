@@ -1,18 +1,25 @@
-"""Detection/estimator architectures, chain gradients, training, bundles."""
+"""Detection/estimator architectures, chain gradients, chunked inference,
+training, bundles."""
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from qsine import signalnet
+from qsine.nn import Network
 from qsine.nn.checkpoint import chain_to_bytes, network_to_bytes
 from qsine.nn.gradcheck import finite_diff_check
 from qsine.signals import GenConfig, ParameterSet, make_dataset, substream, synthesize, to_iq
 from qsine.signalnet import (
+    INFER_ROWS,
     SignalNetModel,
     SinusoidEstimator,
     TrainConfig,
     _cancel_tone,
     _cancel_tone_backward,
     _chain_params,
+    _detection_probs,
     _eval_estimator_loss,
     _expected_count_loss,
     _forward_chain,
@@ -28,7 +35,6 @@ from qsine.signalnet import (
     expected_count,
     load_estimator,
     load_signalnet,
-    reconstruct,
     save_estimator,
     save_signalnet,
     signalnet_infer,
@@ -45,25 +51,22 @@ def _batch(seed, B=6, N=64):
 
 
 # --------------------------------------------------------------------------
-# reconstruction
+# tone cancellation
 # --------------------------------------------------------------------------
 
-class TestReconstruction:
-    def test_matches_synthesize(self):
-        params = ParameterSet(m=2, amps=np.array([0.9, 0.4]),
-                              freqs=np.array([0.12, 0.31]),
-                              phases=np.array([1.0, 5.5]))
-        got = reconstruct(params.amps, params.freqs, params.phases, 64)
-        npt.assert_allclose(got, synthesize(params, 64), rtol=1e-12)
+def _tone(a, f, p, N):
+    return synthesize(ParameterSet(m=1, amps=[a], freqs=[f], phases=[p]), N)
 
+
+class TestReconstruction:
     def test_cancel_tone_removes_tone_at_any_scale(self):
         # the frame's scale is unknown to the chain; a tone at the given
         # frequency goes whatever its amplitude and phase, and a tone at
         # another DFT bin (orthogonal over N samples) is left untouched
         N = 16
         f = np.array([0.125, 0.3125])
-        other = reconstruct([0.5], [0.25], [1.0], N)
-        R = np.stack([to_iq(reconstruct([a], [fi], [p], N) + other)
+        other = _tone(0.5, 0.25, 1.0, N)
+        R = np.stack([to_iq(_tone(a, fi, p, N) + other)
                       for a, fi, p in zip((0.05, 7.0), f, (0.3, 2.0))])
         out = _cancel_tone(R, f, N)
         assert out.shape == (2, N, 2)
@@ -192,6 +195,80 @@ class TestResidualChain:
 
 
 # --------------------------------------------------------------------------
+# chunked inference
+# --------------------------------------------------------------------------
+
+class TestChunkedInference:
+    # chunk edges, the tail merge below INFER_ROWS // 2 rows, and the
+    # 300-row cell of the benchmark (a 44-row tail) and a 65-row last chunk
+    NS = (1, 2, 63, 64, 127, 128, 129, 130, 191, 192, 193, 300, 321)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_chain_bytes_equal_whole_batch(self, m):
+        est = build_estimator(m, seed=90 + m)
+        X = _batch(91, B=max(self.NS))
+        for n in self.NS:
+            whole = _forward_chain(est, X[:n], train=False)
+            for got, want in zip(estimator_forward_batch(est, X[:n]), whole):
+                assert got.tobytes() == want.tobytes(), n
+
+    def test_detector_bytes_equal_whole_batch(self):
+        net = build_detection_network(seed=98)
+        X = _batch(99, B=max(self.NS))
+        for n in self.NS:
+            want = net.forward(X[:n], train=False)["probs"]
+            assert _detection_probs(net, X[:n]).tobytes() == want.tobytes(), n
+            npt.assert_array_equal(detect_count_batch(net, X[:n]),
+                                   want.argmax(axis=1) + 1)
+
+    def test_chain_memory_flat_in_rows(self):
+        # the whole-batch chain peaked about 4x higher at 4x the rows
+        est = build_estimator(5, seed=94)
+        X = _batch(95, B=4 * INFER_ROWS)
+        estimator_forward_batch(est, X[:2])  # first-call allocations
+        peaks = []
+        for n in (INFER_ROWS, 4 * INFER_ROWS):
+            tracemalloc.start()
+            try:
+                estimator_forward_batch(est, X[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_row_chunks_merge_a_short_tail(self, monkeypatch):
+        monkeypatch.setattr(signalnet, "INFER_ROWS", 8)
+        net = build_detection_network(seed=96)
+        est = build_estimator(2, seed=97)
+        X = _batch(98, B=20)
+        rows = []
+        real = Network.forward
+
+        def counting(self, x, train=False):
+            rows.append(len(x))
+            return real(self, x, train)
+
+        monkeypatch.setattr(Network, "forward", counting)
+        for n, chunks in ((1, [1]), (8, [8]), (11, [11]), (12, [8, 4]),
+                          (19, [8, 11]), (20, [8, 8, 4])):
+            bounds = np.cumsum([0, *chunks])
+            parts = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+            rows.clear()
+            probs = _detection_probs(net, X[:n])
+            assert rows == chunks, n
+            want = np.concatenate([real(net, X[s], False)["probs"] for s in parts])
+            assert probs.tobytes() == want.tobytes(), n
+            # each chunk runs through both blocks before the next starts
+            rows.clear()
+            heads = estimator_forward_batch(est, X[:n])
+            assert rows == [c for c in chunks for _ in range(2)], n
+            by_hand = [_forward_chain(est, X[s], train=False) for s in parts]
+            for k, got in enumerate(heads):
+                want = np.concatenate([h[k] for h in by_hand])
+                assert got.tobytes() == want.tobytes(), n
+
+
+# --------------------------------------------------------------------------
 # training-loss gradients
 # --------------------------------------------------------------------------
 
@@ -241,7 +318,7 @@ class TestTrainingGradients:
             return loss, {"probs": dprobs}
 
         rep = finite_diff_check(net, loss_fn, X, h=1e-5, max_entries=3,
-                                train=True, rng=np.random.default_rng(5))
+                                rng=np.random.default_rng(5))
         assert rep["max_rel_err"] <= 1e-5, rep
 
     def test_single_block_estimator_gradients(self):

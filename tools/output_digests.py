@@ -4,14 +4,17 @@
     python3 tools/output_digests.py --checkout <other>   # another checkout
 
 Runs `generate`, a tiny `train --task detection`, `--task estimator` and
-`--task bundle --m-max 2`, `eval` of aic,mdl and of
-periodogram,aic_periodogram at bits 1 and 3, `eval` of
-nn_est,nn_detect,signalnet on the bundle, `ood` on the trained estimator
-and `thresholds`, each as `python3 -m qsine.harness` with the checkout's
+`--task bundle --m-max 2`, an estimator trained on 2,000 frames (200
+validation rows), `eval` of aic,mdl and of periodogram,aic_periodogram at
+bits 1 and 3, `eval` of nn_est,nn_detect,signalnet on the bundle at 100 and
+300 frames a cell, `ood` on the trained estimator at 100 and 321 frames a
+cell and `thresholds`, each as `python3 -m qsine.harness` with the checkout's
 `src` first on PYTHONPATH, into a temporary directory. Prints one
 `<sha256>  <file>` line per output, sorted by name. Two checkouts that
 print the same lines wrote byte-identical datasets, checkpoints, training
 logs and CSVs. A command that fails stops the script with its exit code.
+The larger sizes cross the 128-row inference chunks: 300 rows end in a
+merged 44-row tail, 321 in a 65-row last chunk.
 """
 from __future__ import annotations
 
@@ -37,15 +40,19 @@ def script(out: Path) -> list[list[str]]:
         ["train", "--task", "detection", *TRAIN, "--out", out / "det.ckpt"],
         ["train", "--task", "estimator", "--m", "2", *TRAIN, "--out", out / "est_m2.ckpt"],
         ["train", "--task", "bundle", "--m-max", "2", *TRAIN, "--out", out / "bundle"],
+        ["train", "--task", "estimator", "--m", "2", *TRAIN, "--samples", "2000",
+         "--out", out / "est_m2_s2000.ckpt"],
         ["eval", "--algorithms", "aic,mdl", "--bits", "1,3", "--n", "150", *SNR,
          "--seed", "13", "--out", out / "eval_aic_mdl.csv"],
         *(["eval", "--algorithms", "periodogram,aic_periodogram", "--bits", b, "--n", "6", *SNR,
            "--seed", "14", "--out", out / f"eval_periodogram_b{b}.csv"] for b in ("1", "3")),
-        ["eval", "--bundle", out / "bundle", "--m-max", "2", "--bits", "3",
-         "--algorithms", "nn_est,nn_detect,signalnet", "--n", "100", *SNR,
-         "--seed", "16", "--out", out / "eval_nn.csv"],
-        ["ood", "--est-ckpt", out / "est_m2.ckpt", "--m", "2", "--bits", "3", "--n", "100", *SNR,
-         "--seed", "15", "--out", out / "ood.csv"],
+        *(["eval", "--bundle", out / "bundle", "--m-max", "2", "--bits", "3",
+           "--algorithms", "nn_est,nn_detect,signalnet", "--n", n, *SNR,
+           "--seed", "16", "--out", out / name] for n, name in (("100", "eval_nn.csv"),
+                                                               ("300", "eval_nn_n300.csv"))),
+        *(["ood", "--est-ckpt", out / "est_m2.ckpt", "--m", "2", "--bits", "3", "--n", n, *SNR,
+           "--seed", "15", "--out", out / name] for n, name in (("100", "ood.csv"),
+                                                              ("321", "ood_n321.csv"))),
         ["thresholds", "--out", out / "thresholds.csv"],
     ]
 
