@@ -10,8 +10,10 @@ Subcommands
 
 Every command is a deterministic function of its flags and seed: test cells
 draw from per-cell substreams, rows are sorted before writing, and floats are
-serialized with repr, so reruns are byte-identical. Exit codes: 0 success,
-1 usage error, 2 data/model error.
+serialized with repr, so reruns are byte-identical. ``eval`` and ``ood``
+score their cells in forked worker processes, one per CPU of the process's
+affinity set; the bytes do not depend on the worker count. Exit codes:
+0 success, 1 usage error, 2 data/model error.
 """
 from __future__ import annotations
 
@@ -158,7 +160,18 @@ def _bits_list(text: str) -> list[int]:
         raise ValueError(f"--bits expects comma-separated integers, got {text!r}")
     if not vals:
         raise ValueError("--bits list is empty")
+    if min(vals) < 1:
+        raise ValueError(f"--bits must be >= 1, got {text!r}")
     return vals
+
+
+def _check_sizes(args) -> None:
+    """Rejects --n and --m-max values that no cell could be drawn with."""
+    for flag in ("n", "m_max"):
+        value = getattr(args, flag)
+        if value < 1:
+            raise ValueError(
+                f"--{flag.replace('_', '-')} must be >= 1, got {value}")
 
 
 def _csv_text(header: list[str], rows: list[tuple]) -> str:
@@ -195,6 +208,56 @@ def _db(value: float) -> float:
 def _train_loop_seed(seed: int) -> int:
     # keep optimizer/shuffle streams disjoint from the data substreams
     return _cell_seed(seed, _TAG_TRAIN_LOOP)
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_worker_cells: list[tuple] = []  # a pool worker's copy of its sweep's cells
+
+
+def _init_worker(cells: list[tuple]) -> None:
+    global _worker_cells
+    _worker_cells = cells
+
+
+def _run_cell(i: int):
+    fn, cell_args = _worker_cells[i]
+    return fn(*cell_args)
+
+
+def _map_cells(cells: list[tuple]) -> list:
+    """Returns [fn(*args) for fn, args in cells], one forked worker per CPU.
+
+    Every cell is a pure function of its arguments, so the results do not
+    depend on the worker count. Workers inherit the cells, with the loaded
+    models in their arguments, and the heap policy through fork; only cell
+    indices go out and results come back by pickle. Fork is safe here: by
+    default the CLI runs one BLAS thread, and the executor starts its own
+    thread only after forking the workers. A cell's exception is raised here, and a
+    killed worker raises BrokenProcessPool (a RuntimeError). Either way the
+    cells not yet handed to a worker are cancelled, and every worker is
+    joined before this returns.
+    """
+    workers = min(available_cpus(), len(cells))
+    if workers <= 1:
+        return [fn(*cell_args) for fn, cell_args in cells]
+    # imported here: about 25 ms of start-up that no other command needs
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=(cells,))
+    try:
+        return list(pool.map(_run_cell, range(len(cells))))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 # --------------------------------------------------------------------------
@@ -361,7 +424,7 @@ def _threshold_rows(args, bits: int, snr: float) -> list[tuple]:
 
 
 def cmd_eval(args) -> int:
-    bits_list = args.bits
+    _check_sizes(args)
     grid = _snr_grid(args)
     bundle = load_signalnet(args.bundle) if args.bundle else None
     algorithms = _select_algorithms(args, bundle)
@@ -370,7 +433,8 @@ def cmd_eval(args) -> int:
     if EIGEN_ALGORITHMS & set(algorithms):
         check_window(args.L, args.m_max, args.frame_len)
     rows: list[tuple] = []
-    for bits in bits_list:
+    cells: list[tuple] = []
+    for bits in args.bits:
         qspec = make_quantizer(bits)
         nn_ok = bundle is not None and bundle.bits == bits
         if not nn_ok and any(a.startswith("nn") or a == "signalnet"
@@ -378,18 +442,30 @@ def cmd_eval(args) -> int:
             print(f"note: skipping model-based algorithms at bits={bits} "
                   f"(bundle is for bits={bundle.bits if bundle else '-'})",
                   file=sys.stderr)
+        nn_bundle = bundle if nn_ok else None
         for snr in grid:
             rows.extend(_threshold_rows(args, bits, snr))
-            for m in range(1, args.m_max + 1):
-                rows.extend(_eval_estimator_cell(
-                    args, bits, m, snr, qspec, bundle if nn_ok else None,
-                    algorithms))
-            rows.extend(_eval_joint_cell(
-                args, bits, snr, qspec, bundle if nn_ok else None, algorithms))
+            cells.extend((_eval_estimator_cell, (args, bits, m, snr, qspec,
+                                                 nn_bundle, algorithms))
+                         for m in range(1, args.m_max + 1))
+            cells.append((_eval_joint_cell, (args, bits, snr, qspec,
+                                             nn_bundle, algorithms)))
+    rows.extend(_gather(_map_cells(cells)))
     rows.sort(key=lambda r: (r[0], r[1], str(r[2]), r[3], r[4]))
     _write_csv(args.out, EVAL_HEADER, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
+
+
+def _gather(results: list[tuple[list, list]]) -> list[tuple]:
+    """Concatenates the cells' (rows, notes) results, printing the notes in
+    cell order."""
+    rows = []
+    for cell_rows, notes in results:
+        for note in notes:
+            print(note, file=sys.stderr)
+        rows.extend(cell_rows)
+    return rows
 
 
 def _select_algorithms(args, bundle) -> list[str]:
@@ -408,10 +484,11 @@ def _select_algorithms(args, bundle) -> list[str]:
 
 
 def _eval_estimator_cell(args, bits, m, snr, qspec, bundle, algorithms):
-    rows = []
+    """Scores the count-m cell; returns (rows, notes)."""
+    rows, notes = [], []
     wanted = [a for a in ("periodogram", "nn_est") if a in algorithms]
     if not wanted:
-        return rows
+        return rows, notes
     cell = _cell_examples(args, bits, m, snr, _TAG_EVAL)
     At, Ft, Pt = cell.amps, cell.freqs, cell.phases
     thr = estimation_thresholds(m, args.frame_len)
@@ -425,8 +502,8 @@ def _eval_estimator_cell(args, bits, m, snr, qspec, bundle, algorithms):
                          args.seed))
     if "nn_est" in wanted and bundle is not None:
         if m not in bundle.estimators:
-            print(f"note: bundle lacks an m={m} estimator; skipping nn_est",
-                  file=sys.stderr)
+            notes.append(f"note: bundle lacks an m={m} estimator; "
+                         "skipping nn_est")
         else:
             A, F, P = estimator_forward_batch(bundle.estimators[m],
                                               cell.x.astype(np.float32))
@@ -435,15 +512,16 @@ def _eval_estimator_cell(args, bits, m, snr, qspec, bundle, algorithms):
                     P.astype(np.float64), At, Ft, Pt, thr).items():
                 rows.append(("nn_est", bits, m, snr, metric, value, n,
                              args.seed))
-    return rows
+    return rows, notes
 
 
 def _eval_joint_cell(args, bits, snr, qspec, bundle, algorithms):
+    """Scores the mixed-count cell; returns (rows, notes)."""
     rows = []
     wanted = [a for a in ("aic", "mdl", "nn_detect", "signalnet",
                           "aic_periodogram") if a in algorithms]
     if not wanted:
-        return rows
+        return rows, []
     cell = _cell_examples(args, bits, 0, snr, _TAG_EVAL)
     X = cell.x.astype(np.float32)
     counts = cell.counts
@@ -476,7 +554,7 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, algorithms):
         rows.append(("aic_periodogram", bits, "joint", snr, "chamfer_norm",
                      _chamfer_norm(cell, pred, est, args.frame_len), n,
                      args.seed))
-    return rows
+    return rows, []
 
 
 # --------------------------------------------------------------------------
@@ -484,32 +562,33 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, algorithms):
 # --------------------------------------------------------------------------
 
 def cmd_ood(args) -> int:
+    _check_sizes(args)
     est, meta = load_estimator(args.est_ckpt)
     if est.m != args.m:
         raise ValueError(
             f"--m {args.m} does not match checkpoint (m={est.m})")
-    bits = args.bits_int
-    grid = _snr_grid(args)
-    rows = []
-    for snr in grid:
-        for mode, tag_name in (("in_distribution", "in_dist"),
-                               ("ood_uniform", "ood")):
-            cell = _cell_examples(args, bits, args.m, snr, _TAG_OOD,
-                                  freq_mode=mode)
-            A, F, P = estimator_forward_batch(est, cell.x.astype(np.float32))
-            thr = estimation_thresholds(args.m, args.frame_len)
-            metrics = _estimator_metrics(A.astype(np.float64),
-                                         F.astype(np.float64),
-                                         P.astype(np.float64),
-                                         cell.amps, cell.freqs, cell.phases,
-                                         thr)
-            for metric, value in metrics.items():
-                rows.append(("nn_est", bits, args.m, snr, metric, value,
-                             len(cell), args.seed, tag_name))
+    cells = [(_ood_cell, (args, est, snr, mode, tag_name))
+             for snr in _snr_grid(args)
+             for mode, tag_name in (("in_distribution", "in_dist"),
+                                    ("ood_uniform", "ood"))]
+    rows = _gather(_map_cells(cells))
     rows.sort(key=lambda r: (r[0], r[1], str(r[2]), r[3], r[4], r[8]))
     _write_csv(args.out, OOD_HEADER, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
+
+
+def _ood_cell(args, est, snr, mode, tag_name):
+    """Scores the chain on one (snr, freq mode) cell; returns (rows, notes)."""
+    bits = args.bits_int
+    cell = _cell_examples(args, bits, args.m, snr, _TAG_OOD, freq_mode=mode)
+    A, F, P = estimator_forward_batch(est, cell.x.astype(np.float32))
+    thr = estimation_thresholds(args.m, args.frame_len)
+    metrics = _estimator_metrics(A.astype(np.float64), F.astype(np.float64),
+                                 P.astype(np.float64), cell.amps, cell.freqs,
+                                 cell.phases, thr)
+    return [("nn_est", bits, args.m, snr, metric, value, len(cell), args.seed,
+             tag_name) for metric, value in metrics.items()], []
 
 
 # --------------------------------------------------------------------------

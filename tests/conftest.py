@@ -43,6 +43,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import pytest
 
 import qsine
+from qsine.harness import available_cpus
 from qsine.nn.checkpoint import load_network, save_network
 from qsine.signals import GenConfig, make_dataset
 from qsine.signalnet import (
@@ -189,13 +190,6 @@ def _build_job(job):
         _ensure_estimator(m, bits)
 
 
-def _worker_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _prune_cache():
     """Deletes every cache entry that is not a current suite checkpoint or
     the current bundle; temporaries of current names may belong to a
@@ -222,7 +216,7 @@ def _warm_suite():
     if not missing:
         return
     ctx = multiprocessing.get_context("spawn")
-    workers = min(len(missing), _worker_count())
+    workers = min(len(missing), available_cpus())
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         list(pool.map(_build_job, missing))
 

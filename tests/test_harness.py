@@ -1,10 +1,13 @@
 """CLI-level tests: tiny budgets, real subcommand runs through ``main``."""
 import csv
 import io
+import json
 import math
+import multiprocessing
 import os
 import platform
 import resource
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -250,6 +253,11 @@ class TestExitCodes:
         (["--nfft", "100"], "nfft=100 must be a power of two"),
         (["--nfft", "32"], "nfft=32 must be >= frame length 64"),
         (["--L", "40"], "L must be in [1, N/2] = [1, 32], got 40"),
+        (["--n", "0"], "--n must be >= 1, got 0"),
+        (["--n", "-3"], "--n must be >= 1, got -3"),
+        (["--m-max", "0"], "--m-max must be >= 1, got 0"),
+        (["--bits", "0"], "--bits must be >= 1, got '0'"),
+        (["--bits", "1,0,3"], "--bits must be >= 1, got '1,0,3'"),
     ])
     def test_bad_classical_flags_before_any_frame(self, capsys, tmp_path,
                                                   monkeypatch, flags, message):
@@ -259,6 +267,24 @@ class TestExitCodes:
         monkeypatch.setattr(harness, "_cell_examples", no_cell)
         out = tmp_path / "e.csv"
         code, _, err = _run(capsys, ["eval", "--out", str(out), *flags])
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "0"], "--n must be >= 1, got 0"),
+        (["--m-max", "0"], "--m-max must be >= 1, got 0"),
+    ])
+    def test_bad_ood_sizes_before_any_frame(self, capsys, tmp_path,
+                                            monkeypatch, flags, message):
+        # checked before the checkpoint is even read
+        def no_cell(*args, **kwargs):
+            raise AssertionError("an ood cell was drawn")
+
+        monkeypatch.setattr(harness, "_cell_examples", no_cell)
+        out = tmp_path / "o.csv"
+        code, _, err = _run(capsys, ["ood", "--out", str(out), "--est-ckpt",
+                                     str(tmp_path / "nope.ckpt"), *flags])
         assert code == 2
         assert message in err
         assert not out.exists()
@@ -357,12 +383,14 @@ class TestEvalCommand:
     def test_one_detection_forward_per_joint_cell(self, capsys, tmp_path,
                                                   monkeypatch, bundle_b3_dir):
         # nn_detect and signalnet score the same counts; the harness must
-        # not run the detector twice on a cell
-        calls = []
+        # not run the detector twice on a cell. Cells may run in worker
+        # processes, so each call appends its row count to a file.
+        log = tmp_path / "calls.txt"
         real = signalnet.detect_count_batch
 
         def counting(net, X, *a, **kw):
-            calls.append(len(X))
+            with open(log, "a") as fh:
+                fh.write(f"{len(X)}\n")
             return real(net, X, *a, **kw)
 
         monkeypatch.setattr(harness, "detect_count_batch", counting)
@@ -374,6 +402,7 @@ class TestEvalCommand:
                 "--bundle", str(bundle_b3_dir), "--seed", "5"]
         code, _, _ = _run(capsys, argv)
         assert code == 0
+        calls = sorted(int(line) for line in log.read_text().split())
         assert calls == [5, 5]  # one per (bits, snr) cell
         _, rows = _read_csv(out.read_text())
         loss = {(r[0], r[3]): r[5] for r in rows
@@ -414,6 +443,135 @@ class TestOodCommand:
             "--est-ckpt", str(est_m2_b3_path)])
         assert code == 2
         assert "does not match checkpoint" in err
+
+
+# --------------------------------------------------------------------------
+# cells over worker processes
+# --------------------------------------------------------------------------
+
+def _set_cpus(monkeypatch, n):
+    """Gives the process an affinity set of n CPUs, so eval and ood use
+    min(n, cells) workers; one CPU runs the cells in-process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _record_cell_pids(monkeypatch, log):
+    real = harness._cell_examples
+
+    def recording(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_cell_examples", recording)
+
+
+class TestCellPool:
+    def _same_bytes(self, capsys, tmp_path, monkeypatch, argv_for):
+        """Runs argv_for(out) in-process and over two workers; returns the
+        CSV bytes after checking that both sides wrote the same."""
+        got = {}
+        for cpus in (1, 2):
+            _set_cpus(monkeypatch, cpus)
+            pids = tmp_path / f"pids{cpus}.txt"
+            _record_cell_pids(monkeypatch, pids)
+            out = tmp_path / f"cpus{cpus}.csv"
+            code, _, err = _run(capsys, argv_for(str(out)))
+            assert code == 0, err
+            got[cpus] = out.read_bytes()
+            cell_pids = set(pids.read_text().split())
+            if cpus == 1:
+                assert cell_pids == {str(os.getpid())}
+            else:
+                assert str(os.getpid()) not in cell_pids
+            assert multiprocessing.active_children() == []
+        assert got[1] == got[2]
+        return got[1]
+
+    def test_eval_classical_bytes(self, capsys, tmp_path, monkeypatch):
+        algorithms = "aic,mdl,periodogram,aic_periodogram"
+        self._same_bytes(capsys, tmp_path, monkeypatch, lambda out:
+                         _tiny_eval_args(out, bits="1,3",
+                                         algorithms=algorithms))
+
+    def test_eval_nn_bytes(self, capsys, tmp_path, monkeypatch, bundle_b3_dir):
+        argv = ["eval", "--n", "6", "--bits", "3", "--snr-min", "0",
+                "--snr-max", "1", "--algorithms", "nn_est,nn_detect,signalnet",
+                "--bundle", str(bundle_b3_dir), "--seed", "5", "--out"]
+        text = self._same_bytes(capsys, tmp_path, monkeypatch,
+                                lambda out: [*argv, out]).decode()
+        _, rows = _read_csv(text)
+        assert {r[0] for r in rows} == {"nn_est", "nn_detect", "signalnet",
+                                        "threshold"}
+
+    def test_ood_bytes(self, capsys, tmp_path, monkeypatch, est_m2_b3_path):
+        argv = ["ood", "--n", "8", "--m", "2", "--est-ckpt",
+                str(est_m2_b3_path), "--snr-min", "0", "--snr-max", "2",
+                "--snr-step", "2", "--seed", "5", "--out"]
+        self._same_bytes(capsys, tmp_path, monkeypatch,
+                         lambda out: [*argv, out])
+
+    @pytest.mark.parametrize("error", [ValueError("cell m=3 is malformed"),
+                                       KeyError("no such field")])
+    def test_worker_error_exits_2_like_in_process(self, capsys, tmp_path,
+                                                  monkeypatch, error):
+        real = harness._cell_examples
+
+        def failing(args, bits, m_code, snr, tag, **kwargs):
+            if m_code == 3:
+                raise error
+            return real(args, bits, m_code, snr, tag, **kwargs)
+
+        monkeypatch.setattr(harness, "_cell_examples", failing)
+        errs = {}
+        for cpus in (1, 2):
+            _set_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}.csv"
+            code, _, errs[cpus] = _run(capsys, _tiny_eval_args(str(out)))
+            assert code == 2
+            assert not out.exists()
+            assert multiprocessing.active_children() == []
+        assert errs[1] == errs[2] == f"qsine: error: {error}\n"
+
+    def test_killed_worker_exits_2(self, capsys, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def dying(*args, **kwargs):
+            if os.getpid() == parent:
+                raise AssertionError("a cell ran in the parent process")
+            os._exit(3)
+
+        monkeypatch.setattr(harness, "_cell_examples", dying)
+        _set_cpus(monkeypatch, 2)
+        out = tmp_path / "e.csv"
+        code, _, err = _run(capsys, _tiny_eval_args(str(out)))
+        assert code == 2
+        assert "terminated abruptly" in err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_notes_come_back_in_cell_order(self, capsys, tmp_path,
+                                           monkeypatch, bundle_b3_dir):
+        # a bundle whose manifest omits the m=2 chain: each SNR's m=2 cell
+        # notes the skip, and the parent prints the notes, not the workers
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundle_b3_dir, bundle)
+        manifest = json.loads((bundle / "signalnet.json").read_text())
+        del manifest["estimators"]["2"]
+        (bundle / "signalnet.json").write_text(json.dumps(manifest))
+        argv = ["eval", "--n", "4", "--bits", "3", "--m-max", "3",
+                "--snr-min", "0", "--snr-max", "1", "--algorithms", "nn_est",
+                "--bundle", str(bundle), "--seed", "5", "--out"]
+        errs = {}
+        for cpus in (1, 2):
+            _set_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}.csv"
+            code, _, errs[cpus] = _run(capsys, [*argv, str(out)])
+            assert code == 0
+            _, rows = _read_csv(out.read_text())
+            assert {r[2] for r in rows if r[0] == "nn_est"} == {"1", "3"}
+        note = "note: bundle lacks an m=2 estimator; skipping nn_est\n"
+        assert errs[1] == errs[2] == note * 2
 
 
 # --------------------------------------------------------------------------
