@@ -169,6 +169,7 @@ def periodogram_estimates(
     return np.abs(values) / N, bins / nfft, np.mod(np.angle(values), TWO_PI)
 
 
+# the benchmark imports this one-frame entry point
 def classical_estimate(
     x: np.ndarray,
     m: int,
@@ -237,6 +238,7 @@ def aic_mdl_counts(
     return counts[0], counts[1]
 
 
+# the benchmark imports this one-frame entry point
 def aic_mdl_detect(
     x: np.ndarray,
     criterion: str = "mdl",

@@ -327,7 +327,7 @@ def _train_model(args, cfg: TrainConfig, m: int | None):
     dataset = _train_examples(args, m)
     if m is None:
         return train_detection(dataset, cfg, M=args.m_max)
-    return train_estimator(dataset, cfg, residual_mode=args.residual_mode)
+    return train_estimator(dataset, cfg)
 
 
 def _write_log(path: str, history: list[dict]):
@@ -668,8 +668,6 @@ def build_parser() -> _Parser:
     t.add_argument("--lr", type=float, default=None)
     t.add_argument("--val-fraction", type=float, default=None)
     t.add_argument("--patience", type=int, default=None)
-    t.add_argument("--residual-mode", default="stop_gradient",
-                   choices=["stop_gradient", "differentiable"])
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="SNR sweep -> metrics CSV")

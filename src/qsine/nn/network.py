@@ -95,14 +95,6 @@ class Network:
                 out[f"{node.name}.{key}"] = val
         return out
 
-    def set_param(self, name: str, value: np.ndarray):
-        node_name, key = name.rsplit(".", 1)
-        layer = self.get_layer(node_name)
-        cur = layer.params[key]
-        if cur.shape != value.shape:
-            raise ValueError(f"shape mismatch for {name}: {cur.shape} vs {value.shape}")
-        layer.params[key] = value.astype(cur.dtype)
-
     def get_layer(self, name: str) -> Layer:
         for node in self.nodes:
             if node.name == name:

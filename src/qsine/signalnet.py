@@ -10,7 +10,9 @@ Two model families built on the :mod:`qsine.nn` engine:
   is refit in frame units and subtracted from the frame, and block k+1 sees
   the residual. Each block has a batch-normalized branch (frequency head),
   a phase head off the first conv stage, and an unnormalized branch
-  (amplitude head) so amplitude scale survives.
+  (amplitude head) so amplitude scale survives. Training treats each
+  cancelled tone as a constant: block k is differentiated against its own
+  heads only.
 
 Both are trained by one epoch loop with validation-driven learning rate
 reduction, early stopping and best-weights restore.
@@ -47,21 +49,14 @@ _TAG_BLOCK_NET = 13
 # rows per forward-only pass, so inference memory is one chunk's activations
 # whatever the batch size (see _row_chunks)
 INFER_ROWS = 128
+# rows per partial sum of the validation losses, which fix the logged bytes
+DETECTION_LOSS_ROWS = 1024
+ESTIMATOR_LOSS_ROWS = 2048
 
 
 # --------------------------------------------------------------------------
 # tone cancellation
 # --------------------------------------------------------------------------
-
-def _tone_fit(R, f, N):
-    # unit tones e = exp(j 2 pi f n) per row, the residuals r as complex,
-    # and the least-squares coefficients c = e^H r / N of r along e
-    n = np.arange(N, dtype=R.dtype)
-    e = np.exp(1j * (TWO_PI * f[:, None] * n))
-    r = R[..., 0] + 1j * R[..., 1]
-    c = (e.conj() * r).sum(axis=1) / N
-    return n, e, r, c
-
 
 def _cancel_tone(R, f, N):
     """(B, N, 2) residuals minus their least-squares tone at frequencies f.
@@ -70,21 +65,14 @@ def _cancel_tone(R, f, N):
     is not its label amplitude; the tone at the block's frequency estimate
     is refit in frame units (amplitude and phase) and subtracted.
     """
-    _, e, r, c = _tone_fit(R, f, N)
+    # unit tones e = exp(j 2 pi f n) per row, the residuals r as complex,
+    # and the least-squares coefficients c = e^H r / N of r along e
+    n = np.arange(N, dtype=R.dtype)
+    e = np.exp(1j * (TWO_PI * f[:, None] * n))
+    r = R[..., 0] + 1j * R[..., 1]
+    c = (e.conj() * r).sum(axis=1) / N
     out = r - c[:, None] * e
     return np.stack([out.real, out.imag], axis=-1)
-
-
-def _cancel_tone_backward(R, f, G, N):
-    """Gradients of _cancel_tone w.r.t. R (B, N, 2) and f (B,), given G."""
-    n, e, r, c = _tone_fit(R, f, N)
-    g = G[..., 0] + 1j * G[..., 1]
-    de = (1j * TWO_PI) * n * e  # d e / d f
-    dc = (de.conj() * r).sum(axis=1) / N
-    df = -(g.conj() * (dc[:, None] * e + c[:, None] * de)).real.sum(axis=1)
-    # removing the part along e is a self-adjoint projection
-    dr = g - ((e.conj() * g).sum(axis=1) / N)[:, None] * e
-    return np.stack([dr.real, dr.imag], axis=-1), df
 
 
 # --------------------------------------------------------------------------
@@ -170,21 +158,10 @@ HEADS = ("amp", "freq", "phase")
 
 @dataclass
 class SinusoidEstimator:
-    """Residual chain of block networks; block k handles sinusoid k.
-
-    residual_mode "stop_gradient" treats each cancelled tone as a constant
-    when backpropagating (the default, matching how the chain is trained
-    block-locally); "differentiable" also propagates loss gradients through
-    the cancellation into earlier blocks' frequency heads and inputs.
-    """
+    """Residual chain of block networks; block k handles sinusoid k."""
 
     blocks: list[Network]
     N: int = 64
-    residual_mode: str = "stop_gradient"
-
-    def __post_init__(self):
-        if self.residual_mode not in ("stop_gradient", "differentiable"):
-            raise ValueError(f"unknown residual_mode {self.residual_mode!r}")
 
     @property
     def m(self) -> int:
@@ -195,31 +172,26 @@ class SinusoidEstimator:
 
     def astype(self, dtype) -> "SinusoidEstimator":
         return SinusoidEstimator(blocks=[b.astype(dtype) for b in self.blocks],
-                                 N=self.N, residual_mode=self.residual_mode)
+                                 N=self.N)
 
 
-def build_estimator(m: int, N: int = 64, seed: int = 0,
-                    residual_mode: str = "stop_gradient") -> SinusoidEstimator:
+def build_estimator(m: int, N: int = 64, seed: int = 0) -> SinusoidEstimator:
     blocks = [build_block_network(N, seed=seed, tag=k) for k in range(m)]
-    return SinusoidEstimator(blocks=blocks, N=N, residual_mode=residual_mode)
+    return SinusoidEstimator(blocks=blocks, N=N)
 
 
 def _chain_dtype(est: SinusoidEstimator):
     return next(iter(est.blocks[0].named_params().values())).dtype
 
 
-def _forward_chain(est: SinusoidEstimator, X: np.ndarray, train: bool,
-                   inputs: list | None = None):
+def _forward_chain(est: SinusoidEstimator, X: np.ndarray, train: bool):
     """Runs all blocks on residuals; returns per-head (B, m) arrays.
 
     With train True each block's layer caches stay populated (one backward
-    per block may follow). If given, `inputs` collects each block's input
-    residual."""
+    per block may follow)."""
     R = np.ascontiguousarray(X, dtype=_chain_dtype(est))
     a_cols, f_cols, p_cols = [], [], []
     for k, net in enumerate(est.blocks):
-        if inputs is not None:
-            inputs.append(R)
         vals = net.forward(R, train=train)
         a_cols.append(vals["amp"][:, 0])
         f_cols.append(vals["freq"][:, 0])
@@ -257,16 +229,14 @@ def estimator_forward_batch(est: SinusoidEstimator, X: np.ndarray):
     return _infer_chunks(lambda R: _forward_chain(est, R, train=False), X)
 
 
-def forward_estimator(est: SinusoidEstimator, x: np.ndarray) -> ParameterSet:
-    """Single-frame inference. Heads are ordered by block (trained against
-    frequency-sorted targets) but the outputs are reported as produced."""
-    A, F, P = estimator_forward_batch(est, x[None])
-    return ParameterSet(m=est.m, amps=A[0], freqs=F[0], phases=P[0])
-
-
 # --------------------------------------------------------------------------
 # training configuration and data plumbing
 # --------------------------------------------------------------------------
+
+# epochs without a validation gain before the learning rate is scaled
+LR_PATIENCE = 4
+LR_FACTOR = 0.5
+
 
 @dataclass
 class TrainConfig:
@@ -276,8 +246,6 @@ class TrainConfig:
     estimator_epochs: int = 60
     val_fraction: float = 0.1
     patience: int = 8
-    lr_patience: int = 4
-    lr_factor: float = 0.5
     seed: int = 0
 
 
@@ -339,8 +307,8 @@ def _fit(cfg: TrainConfig, epochs: int, tr: np.ndarray, batch_grads, eval_val,
             stop_wait += 1
             if stop_wait >= cfg.patience:
                 break
-            if lr_wait >= cfg.lr_patience:
-                adam.lr *= cfg.lr_factor
+            if lr_wait >= LR_PATIENCE:
+                adam.lr *= LR_FACTOR
                 lr_wait = 0
     if best_snap is not None:
         for net, snap in zip(nets, best_snap):
@@ -358,13 +326,7 @@ def _split(n: int, cfg: TrainConfig):
 # detection training
 # --------------------------------------------------------------------------
 
-def expected_count(probs: np.ndarray) -> np.ndarray:
-    """Fractional count under a class distribution: sum_k k * p[..., k-1]."""
-    ks = np.arange(1.0, probs.shape[-1] + 1.0, dtype=probs.dtype)
-    return probs @ ks
-
-
-def _expected_count_loss(probs: np.ndarray, counts: np.ndarray):
+def _mean_count_loss(probs: np.ndarray, counts: np.ndarray):
     """Detection loss of the expected count, plus its gradient w.r.t. probs.
 
     The loss is applied to mhat = sum_k k*p_k rather than as the
@@ -391,7 +353,7 @@ def detection_batch_grads(net: Network, X: np.ndarray, counts: np.ndarray):
     net.zero_grads()
     vals = net.forward(X, train=True)
     probs = vals["probs"]
-    loss, dprobs = _expected_count_loss(probs, counts)
+    loss, dprobs = _mean_count_loss(probs, counts)
     net.backward({"probs": dprobs.astype(probs.dtype)}, input_grad=False)
     return loss, net.named_grads()
 
@@ -403,27 +365,24 @@ def _detection_probs(net: Network, X: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _detection_loss_eval(net: Network, X: np.ndarray, counts: np.ndarray,
-                         chunk: int = 1024) -> float:
+def _detection_loss_eval(net: Network, X: np.ndarray, counts: np.ndarray) -> float:
     probs = _detection_probs(net, X)
     total = 0.0
-    for i in range(0, len(X), chunk):
-        p = probs[i : i + chunk]
-        loss, _ = _expected_count_loss(p, counts[i : i + chunk])
+    for i in range(0, len(X), DETECTION_LOSS_ROWS):
+        rows = slice(i, i + DETECTION_LOSS_ROWS)
+        p = probs[rows]
+        loss, _ = _mean_count_loss(p, counts[rows])
         total += loss * len(p)
     return total / len(X)
 
 
-def train_detection(dataset: Dataset, cfg: TrainConfig,
-                    M: int = 5, net: Network | None = None):
+def train_detection(dataset: Dataset, cfg: TrainConfig, M: int = 5):
     """Trains the count classifier on mixed-count frames.
 
     Returns (network, history); the network carries the best-validation
     weights."""
     X, counts = detection_arrays(dataset)
-    N = X.shape[1]
-    if net is None:
-        net = build_detection_network(N=N, M=M, seed=cfg.seed)
+    net = build_detection_network(N=X.shape[1], M=M, seed=cfg.seed)
     tr, va = _split(len(X), cfg)
     adam = Adam(net.named_params(), lr=cfg.lr)
     history = _fit(cfg, cfg.detection_epochs, tr,
@@ -436,10 +395,6 @@ def train_detection(dataset: Dataset, cfg: TrainConfig,
 def detect_count_batch(net: Network, X: np.ndarray) -> np.ndarray:
     """Hard count decisions: argmax of the class distribution, as counts 1..M."""
     return _detection_probs(net, X).argmax(axis=1) + 1
-
-
-def detect_count(net: Network, x: np.ndarray) -> int:
-    return int(detect_count_batch(net, x[None])[0])
 
 
 # --------------------------------------------------------------------------
@@ -461,15 +416,13 @@ def estimator_batch_grads(est: SinusoidEstimator, X, At, Ft, Pt):
     """Training-mode forward/backward of the threshold-normalized loss
     through the chain.
 
-    Returns (loss, grads) with grads keyed "b{k}.{node}.{param}". In
-    stop_gradient mode each block is differentiated against its own heads
-    only; in differentiable mode the tone cancellation couples blocks and
-    gradients flow into earlier ones.
+    Returns (loss, grads) with grads keyed "b{k}.{node}.{param}". Each
+    cancelled tone is a constant, so each block is differentiated against
+    its own heads only.
     """
     for net in est.blocks:
         net.zero_grads()
-    inputs: list = []
-    A, F, P = _forward_chain(est, X, train=True, inputs=inputs)
+    A, F, P = _forward_chain(est, X, train=True)
     thr = estimation_thresholds(est.m, est.N)
     loss, dA, dF, dP = _eff_loss_and_head_grads(
         A.astype(np.float64), F.astype(np.float64), P.astype(np.float64),
@@ -478,25 +431,9 @@ def estimator_batch_grads(est: SinusoidEstimator, X, At, Ft, Pt):
     dA = dA.astype(dtype)
     dF = dF.astype(dtype)
     dP = dP.astype(dtype)
-
-    if est.residual_mode == "stop_gradient":
-        for k, net in enumerate(est.blocks):
-            net.backward({"amp": dA[:, k : k + 1], "freq": dF[:, k : k + 1],
-                          "phase": dP[:, k : k + 1]}, input_grad=False)
-    else:
-        dR = None  # gradient w.r.t. the residual fed to block k+1
-        for k in range(est.m - 1, -1, -1):
-            gf = dF[:, k : k + 1]
-            if dR is not None:
-                # residual update R' = _cancel_tone(R, f)
-                dR, df = _cancel_tone_backward(inputs[k], F[:, k], dR, est.N)
-                gf = gf + df[:, None].astype(dtype)
-            # block 0 reads the frame itself, whose gradient is not needed
-            dx = est.blocks[k].backward({"amp": dA[:, k : k + 1], "freq": gf,
-                                         "phase": dP[:, k : k + 1]},
-                                        input_grad=k > 0)
-            if k > 0:
-                dR = dx if dR is None else dx + dR
+    for k, net in enumerate(est.blocks):
+        net.backward({"amp": dA[:, k : k + 1], "freq": dF[:, k : k + 1],
+                      "phase": dP[:, k : k + 1]}, input_grad=False)
     grads = {}
     for k, net in enumerate(est.blocks):
         for name, g in net.named_grads().items():
@@ -510,22 +447,19 @@ def _chain_params(est: SinusoidEstimator) -> dict[str, np.ndarray]:
             for name, p in net.named_params().items()}
 
 
-def _eval_estimator_loss(est: SinusoidEstimator, X, At, Ft, Pt,
-                         chunk: int = 2048) -> float:
+def _eval_estimator_loss(est: SinusoidEstimator, X, At, Ft, Pt) -> float:
     thr = estimation_thresholds(est.m, est.N)
     heads = estimator_forward_batch(est, X)
     total = 0.0
-    for i in range(0, len(X), chunk):
-        A, F, P = (h[i : i + chunk].astype(np.float64) for h in heads)
-        loss, *_ = _eff_loss_and_head_grads(
-            A, F, P, At[i : i + chunk], Ft[i : i + chunk], Pt[i : i + chunk], thr)
+    for i in range(0, len(X), ESTIMATOR_LOSS_ROWS):
+        rows = slice(i, i + ESTIMATOR_LOSS_ROWS)
+        A, F, P = (h[rows].astype(np.float64) for h in heads)
+        loss, *_ = _eff_loss_and_head_grads(A, F, P, At[rows], Ft[rows], Pt[rows], thr)
         total += loss * len(A)
     return total / len(X)
 
 
-def train_estimator(dataset: Dataset, cfg: TrainConfig,
-                    est: SinusoidEstimator | None = None,
-                    residual_mode: str = "stop_gradient"):
+def train_estimator(dataset: Dataset, cfg: TrainConfig):
     """Trains a residual-chain estimator on fixed-count frames.
 
     Targets are the frequency-sorted ground-truth triples; block k learns
@@ -533,10 +467,7 @@ def train_estimator(dataset: Dataset, cfg: TrainConfig,
     """
     X, At, Ft, Pt = estimator_arrays(dataset)
     At, Ft, Pt = (a.astype(np.float64) for a in (At, Ft, Pt))
-    m = At.shape[1]
-    N = X.shape[1]
-    if est is None:
-        est = build_estimator(m, N=N, seed=cfg.seed, residual_mode=residual_mode)
+    est = build_estimator(At.shape[1], N=X.shape[1], seed=cfg.seed)
     tr, va = _split(len(X), cfg)
     adam = Adam(_chain_params(est), lr=cfg.lr)
     history = _fit(cfg, cfg.estimator_epochs, tr,
@@ -561,24 +492,6 @@ class SignalNetModel:
     bits: int = 3
 
 
-def signalnet_infer(model: SignalNetModel, x: np.ndarray):
-    """Full pipeline on one frame: detect count, then estimate parameters.
-
-    Returns (count, ParameterSet)."""
-    mhat = detect_count(model.detection, x)
-    if mhat not in model.estimators:
-        raise KeyError(f"no estimator for detected count {mhat}")
-    return mhat, forward_estimator(model.estimators[mhat], x)
-
-
-def signalnet_infer_arrays(model: SignalNetModel, X: np.ndarray):
-    """Batched pipeline as arrays: counts (B,) and (amps, freqs, phases),
-    each (B, K) float64 with K the largest count detected; row b holds its
-    counts[b] estimates and NaN after them."""
-    counts = detect_count_batch(model.detection, X)
-    return counts, estimate_by_count(model, X, counts)
-
-
 def estimate_by_count(model: SignalNetModel, X: np.ndarray, counts: np.ndarray):
     """Runs each frame through the chain of its given count: (amps, freqs,
     phases), each (B, K) float64 with K = counts.max(); row b holds its
@@ -593,11 +506,21 @@ def estimate_by_count(model: SignalNetModel, X: np.ndarray, counts: np.ndarray):
 
 
 def signalnet_infer_batch(model: SignalNetModel, X: np.ndarray):
-    """Batched pipeline: returns (counts (B,), list of ParameterSet)."""
-    counts, (A, F, P) = signalnet_infer_arrays(model, X)
+    """Full pipeline on a batch of frames: detect each count, then run each
+    frame through the chain of its count. Returns (counts (B,), list of
+    ParameterSet)."""
+    counts = detect_count_batch(model.detection, X)
+    A, F, P = estimate_by_count(model, X, counts)
     sets = [ParameterSet(m=m, amps=A[b, :m], freqs=F[b, :m], phases=P[b, :m])
             for b, m in enumerate(counts.tolist())]
     return counts, sets
+
+
+# the benchmark imports this one-frame entry point
+def signalnet_infer(model: SignalNetModel, x: np.ndarray):
+    """signalnet_infer_batch on the one frame x: (count, ParameterSet)."""
+    counts, sets = signalnet_infer_batch(model, x[None])
+    return int(counts[0]), sets[0]
 
 
 def save_signalnet(model: SignalNetModel, out_dir) -> Path:
@@ -613,7 +536,7 @@ def save_signalnet(model: SignalNetModel, out_dir) -> Path:
         name = f"est_m{m}.ckpt"
         save_chain(est.blocks, out / name,
                    meta={"task": "estimator", "m": m, "N": est.N,
-                         "bits": model.bits, "residual_mode": est.residual_mode})
+                         "bits": model.bits})
         manifest["estimators"][str(m)] = name
     path = out / "signalnet.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
@@ -632,26 +555,24 @@ def load_signalnet(path) -> SignalNetModel:
     for m_str, name in manifest["estimators"].items():
         blocks, meta = load_chain(base / name)
         estimators[int(m_str)] = SinusoidEstimator(
-            blocks=blocks, N=meta.get("N", manifest["N"]),
-            residual_mode=meta.get("residual_mode", "stop_gradient"))
+            blocks=blocks, N=meta.get("N", manifest["N"]))
     return SignalNetModel(detection=detection, estimators=estimators,
                           N=manifest["N"], M=manifest["M"],
                           bits=manifest["bits"])
 
 
 def load_estimator(path) -> tuple[SinusoidEstimator, dict]:
-    """Loads a single chain checkpoint written by save_chain."""
+    """Loads a single chain checkpoint written by save_chain. Meta keys that
+    nothing reads, such as the residual rule older chains recorded, come
+    back in meta unread."""
     blocks, meta = load_chain(path)
-    est = SinusoidEstimator(blocks=blocks, N=int(meta.get("N", 64)),
-                            residual_mode=meta.get("residual_mode",
-                                                   "stop_gradient"))
+    est = SinusoidEstimator(blocks=blocks, N=int(meta.get("N", 64)))
     return est, meta
 
 
 def save_estimator(est: SinusoidEstimator, path, bits: int | None = None,
                    extra: dict | None = None):
-    meta = {"task": "estimator", "m": est.m, "N": est.N,
-            "residual_mode": est.residual_mode}
+    meta = {"task": "estimator", "m": est.m, "N": est.N}
     if bits is not None:
         meta["bits"] = bits
     if extra:

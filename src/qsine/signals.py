@@ -2,9 +2,9 @@
 
 A frame is N complex baseband samples
 
-    u[n] = sum_i a_i * exp(j*(2*pi*f_i*n*T + phi_i)),   n = 0..N-1,
+    u[n] = sum_i a_i * exp(j*(2*pi*f_i*n + phi_i)),   n = 0..N-1,
 
-with normalized frequencies f_i in (0, 0.5) cycles/sample and T = 1. The
+with normalized frequencies f_i in (0, 0.5) cycles/sample. The
 generation pipeline for one labeled example is
 
     draw_parameters -> synthesize -> add_noise -> normalize_power
@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .quantize import Quantizer, make_quantizer, quantize
+from .quantize import make_quantizer, quantize
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,7 +127,6 @@ class GenConfig:
         seed: base RNG seed; example i uses substream (seed, i).
         freq_mode: "in_distribution" (offset + folded-normal jitter) or
             "ood_uniform" (uniform on (0, 0.5) with min spacing 1/N).
-        sample_interval: T, fixed at 1.0 (frequencies are normalized).
         m_fixed: when set, every label has exactly this count (used to build
             per-m estimator training sets).
         snr_range: when set, each example draws snr_db ~ U(lo, hi).
@@ -140,7 +138,6 @@ class GenConfig:
     bits: int = 3
     seed: int = 0
     freq_mode: str = "in_distribution"
-    sample_interval: float = 1.0
     m_fixed: int | None = None
     snr_range: tuple[float, float] | None = None
 
@@ -151,8 +148,6 @@ class GenConfig:
             raise ValueError("M must be >= 1")
         if self.bits < 1:
             raise ValueError("bits must be >= 1")
-        if self.sample_interval != 1.0:
-            raise ValueError("sample_interval is fixed at 1.0 (normalized frequencies)")
         if self.freq_mode not in ("in_distribution", "ood_uniform"):
             raise ValueError(f"unknown freq_mode {self.freq_mode!r}")
         if self.m_fixed is not None and not (1 <= self.m_fixed <= self.M):
@@ -221,8 +216,8 @@ class Dataset:
             yield self[i]
 
 
-def synthesize(params: ParameterSet, N: int, T: float = 1.0) -> np.ndarray:
-    """Noiseless frame u[n] = sum_i a_i exp(j(2 pi f_i n T + phi_i)).
+def synthesize(params: ParameterSet, N: int) -> np.ndarray:
+    """Noiseless frame u[n] = sum_i a_i exp(j(2 pi f_i n + phi_i)).
 
     An empty parameter set (m = 0 container) yields the all-zero frame.
     """
@@ -231,7 +226,7 @@ def synthesize(params: ParameterSet, N: int, T: float = 1.0) -> np.ndarray:
     n = np.arange(N, dtype=np.float64)
     if len(params.freqs) == 0:
         return np.zeros(N, dtype=np.complex128)
-    angles = TWO_PI * np.outer(n, params.freqs) * T + params.phases[None, :]
+    angles = TWO_PI * np.outer(n, params.freqs) + params.phases[None, :]
     return (params.amps[None, :] * np.exp(1j * angles)).sum(axis=1)
 
 
@@ -336,25 +331,13 @@ def draw_parameters(cfg: GenConfig, rng: np.random.Generator) -> ParameterSet:
     return ParameterSet(m=m, amps=amps, freqs=freqs, phases=phases).validate()
 
 
-def make_example(cfg: GenConfig, index: int) -> LabeledExample:
-    """Generates example `index` of the dataset keyed by cfg.seed.
-
-    The full pipeline: draw -> synthesize -> noise -> normalize -> quantize
-    -> IQ. Pure function of (cfg, index); the same bytes as row `index` of
-    make_dataset.
-    """
-    return _generate(cfg, [index], make_quantizer(cfg.bits))[0]
-
-
 def make_dataset(cfg: GenConfig, count: int) -> Dataset:
-    """Generates `count` labeled examples deterministically from cfg.seed."""
+    """Generates `count` labeled examples deterministically from cfg.seed;
+    row i is the pipeline above on substream (cfg.seed, i), whatever `count`."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return _generate(cfg, range(count), make_quantizer(cfg.bits))
-
-
-def _generate(cfg: GenConfig, indices: Sequence[int], spec: Quantizer) -> Dataset:
-    n, N = len(indices), cfg.N
+    spec = make_quantizer(cfg.bits)
+    n, N = count, cfg.N
     width = cfg.m_fixed if cfg.m_fixed is not None else cfg.M
     x = np.empty((n, N, 2))
     counts = np.empty(n, dtype=np.int64)
@@ -364,8 +347,8 @@ def _generate(cfg: GenConfig, indices: Sequence[int], spec: Quantizer) -> Datase
     # the frame's substream; x holds the noise until phase 2. A noiseless
     # frame gets zeros: adding them can flip only the sign of a zero sample,
     # and both signs quantize to the same level.
-    for row, index in enumerate(indices):
-        rng = substream(cfg.seed, index)
+    for row in range(n):
+        rng = substream(cfg.seed, row)
         if cfg.snr_range is not None:
             snr_db = float(rng.uniform(cfg.snr_range[0], cfg.snr_range[1]))
         else:
@@ -388,8 +371,7 @@ def _generate(cfg: GenConfig, indices: Sequence[int], spec: Quantizer) -> Datase
         group = np.flatnonzero(counts == m)
         for start in range(0, len(group), GROUP_CHUNK):
             rows = group[start : start + GROUP_CHUNK]
-            u = _synthesize_rows(amps[rows, :m], freqs[rows, :m],
-                                 phases[rows, :m], N, cfg.sample_interval)
+            u = _synthesize_rows(amps[rows, :m], freqs[rows, :m], phases[rows, :m], N)
             noise = x[rows]
             y = u + noise[..., 0] + 1j * noise[..., 1]
             z = quantize(_normalize_rows(y), spec)
@@ -399,11 +381,10 @@ def _generate(cfg: GenConfig, indices: Sequence[int], spec: Quantizer) -> Datase
                    snr_db=snrs)
 
 
-def _synthesize_rows(A: np.ndarray, F: np.ndarray, P: np.ndarray, N: int,
-                     T: float) -> np.ndarray:
+def _synthesize_rows(A: np.ndarray, F: np.ndarray, P: np.ndarray, N: int) -> np.ndarray:
     # synthesize() of each row of the (B, m) label arrays -> (B, N)
     n = np.arange(N, dtype=np.float64)
-    angles = TWO_PI * (n[:, None] * F[:, None, :]) * T + P[:, None, :]
+    angles = TWO_PI * (n[:, None] * F[:, None, :]) + P[:, None, :]
     return (A[:, None, :] * np.exp(1j * angles)).sum(axis=2)
 
 

@@ -31,7 +31,7 @@ from qsine.nn.layers import (Activation, BatchNorm1D, Conv1D, Dense, Dropout,
                              Flatten, MaxPool1D)
 from qsine.nn.network import Network
 from qsine.quantize import bussgang_gain, make_quantizer, quantize
-from qsine.signalnet import (_chain_params, _expected_count_loss,
+from qsine.signalnet import (_chain_params, _mean_count_loss,
                              build_detection_network, build_estimator,
                              detect_count_batch, detection_batch_grads,
                              estimator_batch_grads, estimator_forward_batch)
@@ -349,7 +349,7 @@ class TestGradientCorrectness:
         counts = np.array([1, 2, 5, 4, 5, 1])
 
         def loss_fn(values):
-            loss, dprobs = _expected_count_loss(values["probs"], counts)
+            loss, dprobs = _mean_count_loss(values["probs"], counts)
             return loss, {"probs": dprobs}
 
         rep = finite_diff_check(net, loss_fn, X, h=1e-5, max_entries=3,

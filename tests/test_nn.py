@@ -361,15 +361,14 @@ class TestNetwork:
         with pytest.raises(ValueError):
             net.backward({"zzz": np.ones((2, 3))})
 
-    def test_named_params_and_set_param(self):
+    def test_named_params_are_the_layer_arrays(self):
+        # Adam updates the named arrays in place
         net = Network()
         net.add("fc", Dense(3, 2), "x")
         params = net.named_params()
         assert set(params) == {"fc.w", "fc.b"}
-        net.set_param("fc.b", np.array([1.0, 2.0], dtype=np.float32))
+        params["fc.b"][:] = [1.0, 2.0]
         npt.assert_allclose(net.get_layer("fc").params["b"], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            net.set_param("fc.b", np.zeros(3, dtype=np.float32))
 
     def test_snapshot_restore_round_trip(self):
         rng = _rng(11)
@@ -378,7 +377,7 @@ class TestNetwork:
         net.add("bn", BatchNorm1D(2), "fc")
         snap = net.snapshot()
         net.forward(rng.normal(size=(4, 3)).astype(np.float32), train=True)
-        net.set_param("fc.b", np.full(2, 9.0, dtype=np.float32))
+        net.get_layer("fc").params["b"] = np.full(2, 9.0, dtype=np.float32)
         net.restore(snap)
         npt.assert_allclose(net.get_layer("fc").params["b"], 0.0)
         npt.assert_allclose(net.get_layer("bn").state["running_mean"], 0.0)

@@ -16,7 +16,6 @@ from qsine.signals import (
     from_iq,
     load_dataset,
     make_dataset,
-    make_example,
     normalize_power,
     save_dataset,
     substream,
@@ -139,28 +138,32 @@ class TestDrawParameters:
 
 
 class TestMakeExample:
+    """Single examples, as rows of make_dataset."""
+
     def test_deterministic_per_index(self):
         cfg = GenConfig(seed=77, snr_db=5.0)
-        a = make_example(cfg, 3)
-        b = make_example(cfg, 3)
+        a = make_dataset(cfg, 4)[3]
+        b = make_dataset(cfg, 4)[3]
         npt.assert_array_equal(a.x, b.x)
         npt.assert_array_equal(a.label.freqs, b.label.freqs)
 
     def test_independent_of_generation_order(self):
-        cfg = GenConfig(seed=78)
-        direct = make_example(cfg, 5)
-        batch = make_dataset(cfg, 6)[5]
-        npt.assert_array_equal(direct.x, batch.x)
+        # row i is the same whatever the dataset's size, and whatever
+        # count groups the rows around it fall into
+        cfg = GenConfig(seed=78, freq_mode="ood_uniform", bits=1)
+        whole = make_dataset(cfg, 12)
+        for i in (0, 5, 7, 11):
+            assert make_dataset(cfg, i + 1)[i].x.tobytes() == whole[i].x.tobytes()
 
     def test_shape_and_quantized_values(self):
         cfg = GenConfig(seed=2, bits=1)
-        ex = make_example(cfg, 0)
+        ex = make_dataset(cfg, 1)[0]
         assert ex.x.shape == (cfg.N, 2)
         npt.assert_array_equal(np.unique(np.abs(ex.x)), [1.0])
 
     def test_snr_range_draws_within_bounds(self):
         cfg = GenConfig(seed=4, snr_range=(-3.0, 3.0))
-        snrs = [make_example(cfg, i).snr_db for i in range(100)]
+        snrs = make_dataset(cfg, 100).snr_db
         assert min(snrs) >= -3.0 and max(snrs) <= 3.0
         assert np.std(snrs) > 0.5  # actually spread out
 
@@ -173,7 +176,7 @@ def _reference_example(cfg, index, spec):
     else:
         snr_db = float(cfg.snr_db)
     params = draw_parameters(cfg, rng)
-    u = synthesize(params, cfg.N, cfg.sample_interval)
+    u = synthesize(params, cfg.N)
     y = add_noise(u, snr_db, float(np.sum(params.amps**2)), rng)
     x = to_iq(quantize(normalize_power(y), spec))
     return x, params, snr_db
@@ -216,12 +219,6 @@ class TestGroupedGeneration:
         chunked = make_dataset(cfg, 60)
         assert chunked.x.tobytes() == whole.x.tobytes()
         npt.assert_array_equal(chunked.counts, whole.counts)
-
-    def test_make_example_is_one_row(self):
-        cfg = GenConfig(seed=109, freq_mode="ood_uniform", bits=1)
-        ds = make_dataset(cfg, 12)
-        for i in (0, 7, 11):
-            assert make_example(cfg, i).x.tobytes() == ds[i].x.tobytes()
 
     def test_non_finite_snr_rejected(self):
         for snr in (math.nan, -math.inf):

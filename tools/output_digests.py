@@ -10,9 +10,12 @@ bits 1 and 3, `eval` of nn_est,nn_detect,signalnet on the bundle at 100 and
 300 frames a cell, `ood` on the trained estimator at 100 and 321 frames a
 cell and `thresholds`, each as `python3 -m qsine.harness` with the checkout's
 `src` first on PYTHONPATH, into a temporary directory. Prints one
-`<sha256>  <file>` line per output, sorted by name. Two checkouts that
-print the same lines wrote byte-identical datasets, checkpoints, training
-logs and CSVs. A command that fails stops the script with its exit code.
+`<sha256>  <file>` line per output, sorted by name, and for each `*.ckpt`
+one more `<sha256>  <file>#payload` line over the tensor bytes after the
+manifest, which tells a manifest-only change from a weight change. Two
+checkouts that print the same lines wrote byte-identical datasets,
+checkpoints, training logs and CSVs. A command that fails stops the script
+with its exit code.
 The larger sizes cross the 128-row inference chunks: 300 rows end in a
 merged 44-row tail, 321 in a 65-row last chunk.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -57,6 +61,14 @@ def script(out: Path) -> list[list[str]]:
     ]
 
 
+def ckpt_payload(data: bytes) -> bytes:
+    # the SGNT layout: magic, version (u32), manifest length (u32), manifest.
+    # Parsed here rather than by qsine.nn.checkpoint, which would import one
+    # checkout's package into a run that compares two.
+    (mlen,) = struct.unpack_from("<I", data, 8)
+    return data[12 + mlen:]
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent,
@@ -74,7 +86,11 @@ def main() -> int:
                 print(f"failed ({rc}): {' '.join(map(str, argv))}", file=sys.stderr)
                 return rc
         for path in sorted(f for f in out.rglob("*") if f.is_file()):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
+            data = path.read_bytes()
+            print(f"{hashlib.sha256(data).hexdigest()}  {path.relative_to(out)}")
+            if path.suffix == ".ckpt":
+                print(f"{hashlib.sha256(ckpt_payload(data)).hexdigest()}  "
+                      f"{path.relative_to(out)}#payload")
     return 0
 
 
