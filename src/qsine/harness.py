@@ -292,8 +292,6 @@ def _train_config(args) -> TrainConfig:
         cfg.lr = args.lr
     if args.batch_size is not None:
         cfg.batch_size = args.batch_size
-    if args.val_fraction is not None:
-        cfg.val_fraction = args.val_fraction
     if args.patience is not None:
         cfg.patience = args.patience
     if args.epochs is not None:
@@ -382,6 +380,9 @@ def _cell_examples(args, bits: int, m_code: int, snr: float, tag: int,
 
 
 def _estimator_metrics(A, F, P, At, Ft, Pt, thr: LossVector):
+    """The metrics of estimates (A, F, P) against the truth; float32
+    network heads are scored in float64."""
+    A, F, P = (np.asarray(h, dtype=np.float64) for h in (A, F, P))
     cham = normalized_chamfer_batch((At, Ft, Pt), (A, F, P), thr)
     return {
         "freq_mse_db": _db(float(np.mean((F - Ft) ** 2))),
@@ -445,27 +446,28 @@ def cmd_eval(args) -> int:
         nn_bundle = bundle if nn_ok else None
         for snr in grid:
             rows.extend(_threshold_rows(args, bits, snr))
-            cells.extend((_eval_estimator_cell, (args, bits, m, snr, qspec,
-                                                 nn_bundle, algorithms))
-                         for m in range(1, args.m_max + 1))
+            for m in range(1, args.m_max + 1):
+                cells.append((_eval_estimator_cell, (
+                    args, bits, m, snr, qspec,
+                    _cell_chain(nn_bundle, m, algorithms), algorithms)))
             cells.append((_eval_joint_cell, (args, bits, snr, qspec,
                                              nn_bundle, algorithms)))
-    rows.extend(_gather(_map_cells(cells)))
+    rows.extend(row for cell_rows in _map_cells(cells) for row in cell_rows)
     rows.sort(key=lambda r: (r[0], r[1], str(r[2]), r[3], r[4]))
     _write_csv(args.out, EVAL_HEADER, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
-def _gather(results: list[tuple[list, list]]) -> list[tuple]:
-    """Concatenates the cells' (rows, notes) results, printing the notes in
-    cell order."""
-    rows = []
-    for cell_rows, notes in results:
-        for note in notes:
-            print(note, file=sys.stderr)
-        rows.extend(cell_rows)
-    return rows
+def _cell_chain(bundle, m: int, algorithms):
+    """The chain an nn_est cell of count m runs: the bundle's, or None when
+    nn_est is not wanted or the bundle has none (noted here, in cell order)."""
+    if bundle is None or "nn_est" not in algorithms:
+        return None
+    if m not in bundle.estimators:
+        print(f"note: bundle lacks an m={m} estimator; skipping nn_est",
+              file=sys.stderr)
+    return bundle.estimators.get(m)
 
 
 def _select_algorithms(args, bundle) -> list[str]:
@@ -483,12 +485,13 @@ def _select_algorithms(args, bundle) -> list[str]:
     return names
 
 
-def _eval_estimator_cell(args, bits, m, snr, qspec, bundle, algorithms):
-    """Scores the count-m cell; returns (rows, notes)."""
-    rows, notes = [], []
+def _eval_estimator_cell(args, bits, m, snr, qspec, chain, algorithms):
+    """Scores the count-m cell, nn_est by the chain unless it is None;
+    returns the rows."""
+    rows = []
     wanted = [a for a in ("periodogram", "nn_est") if a in algorithms]
     if not wanted:
-        return rows, notes
+        return rows
     cell = _cell_examples(args, bits, m, snr, _TAG_EVAL)
     At, Ft, Pt = cell.amps, cell.freqs, cell.phases
     thr = estimation_thresholds(m, args.frame_len)
@@ -500,28 +503,21 @@ def _eval_estimator_cell(args, bits, m, snr, qspec, bundle, algorithms):
                                                 At, Ft, Pt, thr).items():
             rows.append(("periodogram", bits, m, snr, metric, value, n,
                          args.seed))
-    if "nn_est" in wanted and bundle is not None:
-        if m not in bundle.estimators:
-            notes.append(f"note: bundle lacks an m={m} estimator; "
-                         "skipping nn_est")
-        else:
-            A, F, P = estimator_forward_batch(bundle.estimators[m],
-                                              cell.x.astype(np.float32))
-            for metric, value in _estimator_metrics(
-                    A.astype(np.float64), F.astype(np.float64),
-                    P.astype(np.float64), At, Ft, Pt, thr).items():
-                rows.append(("nn_est", bits, m, snr, metric, value, n,
-                             args.seed))
-    return rows, notes
+    if chain is not None:
+        A, F, P = estimator_forward_batch(chain, cell.x.astype(np.float32))
+        for metric, value in _estimator_metrics(A, F, P, At, Ft, Pt,
+                                                thr).items():
+            rows.append(("nn_est", bits, m, snr, metric, value, n, args.seed))
+    return rows
 
 
 def _eval_joint_cell(args, bits, snr, qspec, bundle, algorithms):
-    """Scores the mixed-count cell; returns (rows, notes)."""
+    """Scores the mixed-count cell; returns the rows."""
     rows = []
     wanted = [a for a in ("aic", "mdl", "nn_detect", "signalnet",
                           "aic_periodogram") if a in algorithms]
     if not wanted:
-        return rows, []
+        return rows
     cell = _cell_examples(args, bits, 0, snr, _TAG_EVAL)
     X = cell.x.astype(np.float32)
     counts = cell.counts
@@ -554,7 +550,7 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, algorithms):
         rows.append(("aic_periodogram", bits, "joint", snr, "chamfer_norm",
                      _chamfer_norm(cell, pred, est, args.frame_len), n,
                      args.seed))
-    return rows, []
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -571,7 +567,7 @@ def cmd_ood(args) -> int:
              for snr in _snr_grid(args)
              for mode, tag_name in (("in_distribution", "in_dist"),
                                     ("ood_uniform", "ood"))]
-    rows = _gather(_map_cells(cells))
+    rows = [row for cell_rows in _map_cells(cells) for row in cell_rows]
     rows.sort(key=lambda r: (r[0], r[1], str(r[2]), r[3], r[4], r[8]))
     _write_csv(args.out, OOD_HEADER, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
@@ -579,16 +575,15 @@ def cmd_ood(args) -> int:
 
 
 def _ood_cell(args, est, snr, mode, tag_name):
-    """Scores the chain on one (snr, freq mode) cell; returns (rows, notes)."""
+    """Scores the chain on one (snr, freq mode) cell; returns the rows."""
     bits = args.bits_int
     cell = _cell_examples(args, bits, args.m, snr, _TAG_OOD, freq_mode=mode)
     A, F, P = estimator_forward_batch(est, cell.x.astype(np.float32))
     thr = estimation_thresholds(args.m, args.frame_len)
-    metrics = _estimator_metrics(A.astype(np.float64), F.astype(np.float64),
-                                 P.astype(np.float64), cell.amps, cell.freqs,
-                                 cell.phases, thr)
+    metrics = _estimator_metrics(A, F, P, cell.amps, cell.freqs, cell.phases,
+                                 thr)
     return [("nn_est", bits, args.m, snr, metric, value, len(cell), args.seed,
-             tag_name) for metric, value in metrics.items()], []
+             tag_name) for metric, value in metrics.items()]
 
 
 # --------------------------------------------------------------------------
@@ -666,7 +661,6 @@ def build_parser() -> _Parser:
     t.add_argument("--epochs", type=int, default=None)
     t.add_argument("--batch-size", type=int, default=None)
     t.add_argument("--lr", type=float, default=None)
-    t.add_argument("--val-fraction", type=float, default=None)
     t.add_argument("--patience", type=int, default=None)
     t.set_defaults(func=cmd_train)
 

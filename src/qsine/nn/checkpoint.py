@@ -78,7 +78,7 @@ def network_from_bytes(data: bytes) -> tuple[Network, dict]:
         if t["key"] not in target:
             raise ValueError(f"tensor {t['node']}.{t['key']} not in rebuilt layer")
         target[t["key"]] = arr
-    net.zero_grads()
+    net.pack()
     return net, manifest["meta"]
 
 

@@ -2,13 +2,15 @@
 
 Every layer follows the same contract: ``forward(x, train=True)`` caches
 what the backward pass needs, ``backward(dy)`` returns the gradient w.r.t.
-the input and fills ``self.grads`` (same keys as ``self.params``). An
+the input and adds into ``self.grads`` (same keys as ``self.params``). An
 inference forward (``train=False``) computes only the output and drops the
 cache, so inference memory is the activations alone and a backward after it
 raises instead of differentiating the last training batch. Parameters live in
 ``self.params``, non-trained buffers (BatchNorm running stats) in
-``self.state``. ``config()`` + ``from_config()`` round-trip a layer through
-the checkpoint format.
+``self.state``. In a Network, ``params`` and ``grads`` are views into the
+network's flat buffers, so layers write them in place and never rebind them.
+``config()`` + ``from_config()`` round-trip a layer through the checkpoint
+format.
 """
 from __future__ import annotations
 
@@ -67,8 +69,11 @@ class Layer:
         gradient; layers override it where that saves work."""
         self.backward(dy)
 
-    def zero_grads(self):
-        self.grads = {k: np.zeros(v.shape, v.dtype) for k, v in self.params.items()}
+    def _init_params(self, **params):
+        """Sets the parameters and zero gradients; a Network that adds the
+        layer re-packs both into its flat buffers."""
+        self.params = params
+        self.grads = {k: np.zeros_like(v) for k, v in params.items()}
 
     def config(self) -> dict:
         return {}
@@ -79,9 +84,8 @@ class Layer:
 
     def astype(self, dtype):
         self.dtype = dtype
-        self.params = {k: v.astype(dtype) for k, v in self.params.items()}
+        self._init_params(**{k: v.astype(dtype) for k, v in self.params.items()})
         self.state = {k: v.astype(dtype) for k, v in self.state.items()}
-        self.grads = {}
         return self
 
 
@@ -104,11 +108,9 @@ class Conv1D(Layer):
         self.dtype = dtype
         rng = rng if rng is not None else np.random.default_rng(0)
         fan_in = kernel * in_channels
-        self.params = {
-            "w": _fan_in_uniform(rng, (kernel, in_channels, out_channels), fan_in, dtype),
-            "b": np.zeros(out_channels, dtype=dtype),
-        }
-        self.zero_grads()
+        self._init_params(
+            w=_fan_in_uniform(rng, (kernel, in_channels, out_channels), fan_in, dtype),
+            b=np.zeros(out_channels, dtype=dtype))
 
     def forward(self, x, train=False):
         k = self.kernel
@@ -223,15 +225,12 @@ class BatchNorm1D(Layer):
         self.momentum = momentum
         self.eps = eps
         self.dtype = dtype
-        self.params = {
-            "gamma": np.ones(channels, dtype=dtype),
-            "beta": np.zeros(channels, dtype=dtype),
-        }
+        self._init_params(gamma=np.ones(channels, dtype=dtype),
+                          beta=np.zeros(channels, dtype=dtype))
         self.state = {
             "running_mean": np.zeros(channels, dtype=dtype),
             "running_var": np.ones(channels, dtype=dtype),
         }
-        self.zero_grads()
 
     def forward(self, x, train=False):
         axes = tuple(range(x.ndim - 1))
@@ -288,11 +287,9 @@ class Dense(Layer):
         self.out_features = out_features
         self.dtype = dtype
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.params = {
-            "w": _fan_in_uniform(rng, (in_features, out_features), in_features, dtype),
-            "b": np.zeros(out_features, dtype=dtype),
-        }
-        self.zero_grads()
+        self._init_params(
+            w=_fan_in_uniform(rng, (in_features, out_features), in_features, dtype),
+            b=np.zeros(out_features, dtype=dtype))
 
     def forward(self, x, train=False):
         self._cache = x if train else None

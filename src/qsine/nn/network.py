@@ -3,6 +3,13 @@
 Nodes are added in topological order; each consumes the network input ("x")
 or an earlier node's output, so fan-out (several nodes reading one tensor)
 is allowed and the backward pass accumulates gradients at the shared source.
+
+All parameters of a network live in one flat buffer, ``flat_params``, and
+their gradients in another, ``flat_grads``: each layer's ``params[k]`` and
+``grads[k]`` are views into them, in node order. Parameters are written in
+place, never replaced, so the gradient reset and the best-weights restore are
+one vector operation each, and an optimizer step a few. Only building
+(``add``), loading and ``astype`` re-pack the buffers.
 """
 from __future__ import annotations
 
@@ -27,6 +34,7 @@ class Network:
     def __init__(self):
         self.nodes: list[_Node] = []
         self._names: set[str] = {INPUT}
+        self.pack()
 
     def add(self, name: str, layer: Layer, src: str = INPUT) -> str:
         """Appends a named layer reading from src ("x" or an earlier node)."""
@@ -36,7 +44,27 @@ class Network:
             raise ValueError(f"unknown input {src!r} for node {name!r}")
         self.nodes.append(_Node(name, layer, src))
         self._names.add(name)
+        self.pack()
         return name
+
+    def pack(self):
+        """Copies every layer's parameters into new flat buffers and rebinds
+        each params[k] and grads[k] to its view there; gradients restart at
+        zero."""
+        tensors = [(node.layer, key, val) for node in self.nodes
+                   for key, val in node.layer.params.items()]
+        dtypes = {val.dtype for *_, val in tensors} or {np.dtype(np.float32)}
+        if len(dtypes) > 1:
+            raise ValueError(f"parameters of mixed dtypes {sorted(map(str, dtypes))}")
+        self.flat_params = np.empty(sum(val.size for *_, val in tensors), dtypes.pop())
+        self.flat_grads = np.zeros_like(self.flat_params)
+        offset = 0
+        for layer, key, val in tensors:
+            end = offset + val.size
+            self.flat_params[offset:end] = val.ravel()
+            layer.params[key] = self.flat_params[offset:end].reshape(val.shape)
+            layer.grads[key] = self.flat_grads[offset:end].reshape(val.shape)
+            offset = end
 
     def forward(self, x: np.ndarray, train: bool = False) -> dict[str, np.ndarray]:
         """Runs all nodes; returns every intermediate keyed by node name."""
@@ -102,30 +130,25 @@ class Network:
         raise KeyError(name)
 
     def zero_grads(self):
-        for node in self.nodes:
-            node.layer.zero_grads()
-
-    def param_count(self) -> int:
-        return sum(v.size for v in self.named_params().values())
+        self.flat_grads.fill(0)
 
     def astype(self, dtype) -> "Network":
         """Deep copy with parameters, buffers and layer dtype cast to dtype."""
         net = copy.deepcopy(self)
         for node in net.nodes:
             node.layer.astype(dtype)
+        net.pack()
         return net
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Copies of all parameters and state buffers (for best-weight restore)."""
-        out = {k: v.copy() for k, v in self.named_params().items()}
-        for node in self.nodes:
-            for key, val in node.layer.state.items():
-                out[f"{node.name}.state.{key}"] = val.copy()
-        return out
+    def snapshot(self):
+        """A copy of the parameters and of every layer's state buffers (for
+        best-weight restore)."""
+        return self.flat_params.copy(), [
+            {key: val.copy() for key, val in node.layer.state.items()}
+            for node in self.nodes]
 
-    def restore(self, snap: dict[str, np.ndarray]):
-        for node in self.nodes:
-            for key in node.layer.params:
-                node.layer.params[key] = snap[f"{node.name}.{key}"].copy()
-            for key in node.layer.state:
-                node.layer.state[key] = snap[f"{node.name}.state.{key}"].copy()
+    def restore(self, snap):
+        params, states = snap
+        self.flat_params[:] = params
+        for node, state in zip(self.nodes, states):
+            node.layer.state = {key: val.copy() for key, val in state.items()}

@@ -1,57 +1,42 @@
-"""Adam optimizer over a named parameter dict."""
+"""Adam optimizer over the flat parameter buffers of networks."""
 from __future__ import annotations
 
 import numpy as np
 
 
 class Adam:
-    """Bias-corrected Adam; updates parameters in place.
+    """Bias-corrected Adam over whole networks.
 
     With zero gradients a step leaves parameters untouched (the epsilon sits
     outside the square root, so 0/eps = 0).
 
-    The moments of all parameters of one dtype live in one flat buffer (the
-    per-key entries of ``m`` and ``v`` are views into it), so a step is a
-    handful of vector operations however many tensors the model has. Every
-    element sees the same operations as in a per-tensor update.
+    Each network keeps its parameters and gradients in two flat buffers
+    (``flat_params``, ``flat_grads``) whose views its layers use, and the
+    moments here are one flat pair per network. A step reads the gradients
+    the last backward left there and writes the parameters in place, never
+    replacing them: three vector operations per network, however many
+    tensors it has. Every element sees the same operations as in a
+    per-tensor update.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
+    def __init__(self, nets, lr: float = 1e-3, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.nets = list(nets)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        # (keys, flat m, flat v) per parameter dtype
-        self._groups = []
-        for dtype in dict.fromkeys(p.dtype for p in params.values()):
-            keys = [k for k, p in params.items() if p.dtype == dtype]
-            size = sum(params[k].size for k in keys)
-            m, v = np.zeros(size, dtype), np.zeros(size, dtype)
-            offset = 0
-            for k in keys:
-                p = params[k]
-                self.m[k] = m[offset : offset + p.size].reshape(p.shape)
-                self.v[k] = v[offset : offset + p.size].reshape(p.shape)
-                offset += p.size
-            self._groups.append((keys, m, v))
+        self.m = [np.zeros_like(net.flat_params) for net in self.nets]
+        self.v = [np.zeros_like(net.flat_params) for net in self.nets]
 
-    def step(self, grads: dict[str, np.ndarray]):
+    def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        for keys, m, v in self._groups:
-            g = np.concatenate([np.ravel(grads[k]) for k in keys])
+        for net, m, v in zip(self.nets, self.m, self.v):
+            g = net.flat_grads
             m += (1.0 - b1) * (g - m)
             v += (1.0 - b2) * (g * g - v)
-            step = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-            offset = 0
-            for k in keys:
-                p = self.params[k]
-                p -= step[offset : offset + p.size].reshape(p.shape).astype(p.dtype)
-                offset += p.size
+            net.flat_params -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)

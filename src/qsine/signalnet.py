@@ -52,6 +52,8 @@ INFER_ROWS = 128
 # rows per partial sum of the validation losses, which fix the logged bytes
 DETECTION_LOSS_ROWS = 1024
 ESTIMATOR_LOSS_ROWS = 2048
+# dropout rate before the detector's dense layers
+DETECTION_DROPOUT = 0.7
 
 
 # --------------------------------------------------------------------------
@@ -79,8 +81,7 @@ def _cancel_tone(R, f, N):
 # architectures
 # --------------------------------------------------------------------------
 
-def build_detection_network(N: int = 64, M: int = 5, seed: int = 0,
-                            dropout_rate: float = 0.7) -> Network:
+def build_detection_network(N: int = 64, M: int = 5, seed: int = 0) -> Network:
     """Count classifier: 3 conv stages (32/64/128, pools 2/2/4) -> 2 dense."""
     if N % 16:
         raise ValueError(f"N must be divisible by 16, got {N}")
@@ -95,7 +96,7 @@ def build_detection_network(N: int = 64, M: int = 5, seed: int = 0,
         net.add(f"bn{i}", BatchNorm1D(c_out), f"pool{i}")
         src, c_in = f"bn{i}", c_out
     net.add("flat", Flatten(), src)
-    net.add("drop", Dropout(dropout_rate, seed=seed + 9001), "flat")
+    net.add("drop", Dropout(DETECTION_DROPOUT, seed=seed + 9001), "flat")
     net.add("fc1", Dense((N // 16) * 128, 128, rng=rng), "drop")
     net.add("fc1_relu", Activation("relu"), "fc1")
     net.add("fc2", Dense(128, 64, rng=rng), "fc1_relu")
@@ -167,13 +168,6 @@ class SinusoidEstimator:
     def m(self) -> int:
         return len(self.blocks)
 
-    def param_count(self) -> int:
-        return sum(b.param_count() for b in self.blocks)
-
-    def astype(self, dtype) -> "SinusoidEstimator":
-        return SinusoidEstimator(blocks=[b.astype(dtype) for b in self.blocks],
-                                 N=self.N)
-
 
 def build_estimator(m: int, N: int = 64, seed: int = 0) -> SinusoidEstimator:
     blocks = [build_block_network(N, seed=seed, tag=k) for k in range(m)]
@@ -181,7 +175,7 @@ def build_estimator(m: int, N: int = 64, seed: int = 0) -> SinusoidEstimator:
 
 
 def _chain_dtype(est: SinusoidEstimator):
-    return next(iter(est.blocks[0].named_params().values())).dtype
+    return est.blocks[0].flat_params.dtype
 
 
 def _forward_chain(est: SinusoidEstimator, X: np.ndarray, train: bool):
@@ -236,6 +230,8 @@ def estimator_forward_batch(est: SinusoidEstimator, X: np.ndarray):
 # epochs without a validation gain before the learning rate is scaled
 LR_PATIENCE = 4
 LR_FACTOR = 0.5
+# share of the training frames held out for validation
+VAL_FRACTION = 0.1
 
 
 @dataclass
@@ -244,7 +240,6 @@ class TrainConfig:
     batch_size: int = 32
     detection_epochs: int = 20
     estimator_epochs: int = 60
-    val_fraction: float = 0.1
     patience: int = 8
     seed: int = 0
 
@@ -274,13 +269,13 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def _fit(cfg: TrainConfig, epochs: int, tr: np.ndarray, batch_grads, eval_val,
-         nets: list[Network], adam: Adam):
+         adam: Adam):
     """The training loop: shuffled minibatches of the training rows `tr`,
     LR reduction and early stop on validation loss, and the best-validation
-    weights of `nets` restored at the end.
+    weights of the networks of `adam` restored at the end.
 
-    batch_grads(rows) returns (mean loss, grads) for those rows; eval_val()
-    returns the validation loss."""
+    batch_grads(rows) leaves the gradients of those rows on the networks and
+    returns their mean loss; eval_val() returns the validation loss."""
     history = []
     best = np.inf
     best_snap = None
@@ -290,8 +285,8 @@ def _fit(cfg: TrainConfig, epochs: int, tr: np.ndarray, batch_grads, eval_val,
         total = weight = 0.0
         for idx in _epoch_batches(len(tr), cfg.batch_size, rng):
             b = tr[idx]
-            loss, grads = batch_grads(b)
-            adam.step(grads)
+            loss = batch_grads(b)
+            adam.step()
             total += loss * len(b)
             weight += len(b)
         train_loss = total / weight
@@ -300,7 +295,7 @@ def _fit(cfg: TrainConfig, epochs: int, tr: np.ndarray, batch_grads, eval_val,
                         "val_loss": val_loss, "lr": adam.lr})
         if val_loss < best - 1e-7:
             best = val_loss
-            best_snap = [net.snapshot() for net in nets]
+            best_snap = [net.snapshot() for net in adam.nets]
             lr_wait = stop_wait = 0
         else:
             lr_wait += 1
@@ -311,14 +306,14 @@ def _fit(cfg: TrainConfig, epochs: int, tr: np.ndarray, batch_grads, eval_val,
                 adam.lr *= LR_FACTOR
                 lr_wait = 0
     if best_snap is not None:
-        for net, snap in zip(nets, best_snap):
+        for net, snap in zip(adam.nets, best_snap):
             net.restore(snap)
     return history
 
 
 def _split(n: int, cfg: TrainConfig):
     perm = substream(cfg.seed, _TAG_SPLIT).permutation(n)
-    n_val = max(1, int(round(cfg.val_fraction * n)))
+    n_val = max(1, int(round(VAL_FRACTION * n)))
     return perm[n_val:], perm[:n_val]
 
 
@@ -348,14 +343,14 @@ def _mean_count_loss(probs: np.ndarray, counts: np.ndarray):
 
 
 def detection_batch_grads(net: Network, X: np.ndarray, counts: np.ndarray):
-    """One training-mode forward/backward of the detection loss; returns
-    (loss, named grads). Gradients are left on the network."""
+    """One training-mode forward/backward of the detection loss; returns the
+    loss and leaves the gradients on the network."""
     net.zero_grads()
     vals = net.forward(X, train=True)
     probs = vals["probs"]
     loss, dprobs = _mean_count_loss(probs, counts)
     net.backward({"probs": dprobs.astype(probs.dtype)}, input_grad=False)
-    return loss, net.named_grads()
+    return loss
 
 
 def _detection_probs(net: Network, X: np.ndarray) -> np.ndarray:
@@ -384,11 +379,10 @@ def train_detection(dataset: Dataset, cfg: TrainConfig, M: int = 5):
     X, counts = detection_arrays(dataset)
     net = build_detection_network(N=X.shape[1], M=M, seed=cfg.seed)
     tr, va = _split(len(X), cfg)
-    adam = Adam(net.named_params(), lr=cfg.lr)
     history = _fit(cfg, cfg.detection_epochs, tr,
                    lambda b: detection_batch_grads(net, X[b], counts[b]),
                    lambda: _detection_loss_eval(net, X[va], counts[va]),
-                   [net], adam)
+                   Adam([net], lr=cfg.lr))
     return net, history
 
 
@@ -414,11 +408,9 @@ def _eff_loss_and_head_grads(A, F, P, At, Ft, Pt, thr: LossVector):
 
 def estimator_batch_grads(est: SinusoidEstimator, X, At, Ft, Pt):
     """Training-mode forward/backward of the threshold-normalized loss
-    through the chain.
-
-    Returns (loss, grads) with grads keyed "b{k}.{node}.{param}". Each
-    cancelled tone is a constant, so each block is differentiated against
-    its own heads only.
+    through the chain; returns the loss and leaves each block's gradients on
+    its network. Each cancelled tone is a constant, so each block is
+    differentiated against its own heads only.
     """
     for net in est.blocks:
         net.zero_grads()
@@ -434,17 +426,7 @@ def estimator_batch_grads(est: SinusoidEstimator, X, At, Ft, Pt):
     for k, net in enumerate(est.blocks):
         net.backward({"amp": dA[:, k : k + 1], "freq": dF[:, k : k + 1],
                       "phase": dP[:, k : k + 1]}, input_grad=False)
-    grads = {}
-    for k, net in enumerate(est.blocks):
-        for name, g in net.named_grads().items():
-            grads[f"b{k}.{name}"] = g
-    return loss, grads
-
-
-def _chain_params(est: SinusoidEstimator) -> dict[str, np.ndarray]:
-    return {f"b{k}.{name}": p
-            for k, net in enumerate(est.blocks)
-            for name, p in net.named_params().items()}
+    return loss
 
 
 def _eval_estimator_loss(est: SinusoidEstimator, X, At, Ft, Pt) -> float:
@@ -469,11 +451,10 @@ def train_estimator(dataset: Dataset, cfg: TrainConfig):
     At, Ft, Pt = (a.astype(np.float64) for a in (At, Ft, Pt))
     est = build_estimator(At.shape[1], N=X.shape[1], seed=cfg.seed)
     tr, va = _split(len(X), cfg)
-    adam = Adam(_chain_params(est), lr=cfg.lr)
     history = _fit(cfg, cfg.estimator_epochs, tr,
                    lambda b: estimator_batch_grads(est, X[b], At[b], Ft[b], Pt[b]),
                    lambda: _eval_estimator_loss(est, X[va], At[va], Ft[va], Pt[va]),
-                   est.blocks, adam)
+                   Adam(est.blocks, lr=cfg.lr))
     return est, history
 
 
@@ -534,9 +515,7 @@ def save_signalnet(model: SignalNetModel, out_dir) -> Path:
                 "detection": "detection.ckpt", "estimators": {}}
     for m, est in sorted(model.estimators.items()):
         name = f"est_m{m}.ckpt"
-        save_chain(est.blocks, out / name,
-                   meta={"task": "estimator", "m": m, "N": est.N,
-                         "bits": model.bits})
+        save_estimator(est, out / name, bits=model.bits)
         manifest["estimators"][str(m)] = name
     path = out / "signalnet.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
@@ -570,11 +549,7 @@ def load_estimator(path) -> tuple[SinusoidEstimator, dict]:
     return est, meta
 
 
-def save_estimator(est: SinusoidEstimator, path, bits: int | None = None,
-                   extra: dict | None = None):
-    meta = {"task": "estimator", "m": est.m, "N": est.N}
-    if bits is not None:
-        meta["bits"] = bits
-    if extra:
-        meta.update(extra)
-    save_chain(est.blocks, path, meta=meta)
+def save_estimator(est: SinusoidEstimator, path, bits: int):
+    """Writes a chain checkpoint that load_estimator reads."""
+    save_chain(est.blocks, path,
+               meta={"task": "estimator", "m": est.m, "N": est.N, "bits": bits})

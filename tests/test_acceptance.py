@@ -31,7 +31,7 @@ from qsine.nn.layers import (Activation, BatchNorm1D, Conv1D, Dense, Dropout,
                              Flatten, MaxPool1D)
 from qsine.nn.network import Network
 from qsine.quantize import bussgang_gain, make_quantizer, quantize
-from qsine.signalnet import (_chain_params, _mean_count_loss,
+from qsine.signalnet import (SinusoidEstimator, _mean_count_loss,
                              build_detection_network, build_estimator,
                              detect_count_batch, detection_batch_grads,
                              estimator_batch_grads, estimator_forward_batch)
@@ -273,26 +273,29 @@ def _mse_loss(values, node, target):
 
 
 def _estimator_fd(est, X, At, Ft, Pt, h, entries=3, seed=0):
-    est64 = est.astype(np.float64)
+    est64 = SinusoidEstimator([b.astype(np.float64) for b in est.blocks], N=est.N)
     X = X.astype(np.float64)
-    _, grads = estimator_batch_grads(est64, X, At, Ft, Pt)
-    params = _chain_params(est64)
+    estimator_batch_grads(est64, X, At, Ft, Pt)
+    # copies: every later call rewrites the gradient buffers in place
+    analytic = [{k: g.copy() for k, g in b.named_grads().items()}
+                for b in est64.blocks]
     rng = np.random.default_rng(seed)
     max_rel = 0.0
-    for name, p in params.items():
-        flat = p.reshape(-1)
-        for i in rng.choice(flat.size, size=min(entries, flat.size),
-                            replace=False):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = estimator_batch_grads(est64, X, At, Ft, Pt)[0]
-            flat[i] = orig - h
-            lm = estimator_batch_grads(est64, X, At, Ft, Pt)[0]
-            flat[i] = orig
-            fd = (lp - lm) / (2 * h)
-            an = float(grads[name].reshape(-1)[i])
-            max_rel = max(max_rel,
-                          abs(an - fd) / max(abs(an), abs(fd), 1e-6))
+    for block, grads in zip(est64.blocks, analytic):
+        for name, p in block.named_params().items():
+            flat = p.reshape(-1)
+            for i in rng.choice(flat.size, size=min(entries, flat.size),
+                                replace=False):
+                orig = flat[i]
+                flat[i] = orig + h
+                lp = estimator_batch_grads(est64, X, At, Ft, Pt)
+                flat[i] = orig - h
+                lm = estimator_batch_grads(est64, X, At, Ft, Pt)
+                flat[i] = orig
+                fd = (lp - lm) / (2 * h)
+                an = float(grads[name].reshape(-1)[i])
+                max_rel = max(max_rel,
+                              abs(an - fd) / max(abs(an), abs(fd), 1e-6))
     return max_rel
 
 

@@ -377,7 +377,7 @@ class TestNetwork:
         net.add("bn", BatchNorm1D(2), "fc")
         snap = net.snapshot()
         net.forward(rng.normal(size=(4, 3)).astype(np.float32), train=True)
-        net.get_layer("fc").params["b"] = np.full(2, 9.0, dtype=np.float32)
+        net.get_layer("fc").params["b"][:] = 9.0
         net.restore(snap)
         npt.assert_allclose(net.get_layer("fc").params["b"], 0.0)
         npt.assert_allclose(net.get_layer("bn").state["running_mean"], 0.0)
@@ -385,7 +385,7 @@ class TestNetwork:
     def test_param_count(self):
         net = Network()
         net.add("fc", Dense(10, 4), "x")
-        assert net.param_count() == 10 * 4 + 4
+        assert net.flat_params.size == 10 * 4 + 4
 
 
 # --------------------------------------------------------------------------
@@ -500,65 +500,88 @@ def _reference_adam_step(p, g, state, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
     return p - lr * mhat / (np.sqrt(vhat) + eps), (m, v, t)
 
 
+def _dense_net(n_in, n_out, seed, dtype=np.float64):
+    net = Network()
+    net.add("fc", Dense(n_in, n_out, rng=_rng(seed), dtype=dtype), "x")
+    return net
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
-        p = np.array([1.0, -2.0, 0.5])
-        params = {"p": p.copy()}
-        opt = Adam(params, lr=0.1)
-        g = np.array([0.3, -0.4, 0.0])
-        opt.step({"p": g})
+        net = _dense_net(1, 2, seed=30)
+        p = net.flat_params.copy()
+        opt = Adam([net], lr=0.1)
+        g = np.array([0.3, -0.4, 0.0, 0.2])
+        net.flat_grads[:] = g
+        opt.step()
         want = p - 0.1 * g / (np.abs(g) + 1e-8)  # mhat=g, vhat=g^2 at t=1
-        npt.assert_allclose(params["p"], want, rtol=1e-12)
+        npt.assert_allclose(net.flat_params, want, rtol=1e-12)
 
     def test_matches_reference_over_steps(self):
         rng = _rng(31)
-        p0 = rng.normal(size=(4, 3))
-        params = {"w": p0.copy()}
-        opt = Adam(params, lr=5e-3)
+        net = _dense_net(3, 3, seed=31)
+        p0 = net.flat_params.copy()
+        opt = Adam([net], lr=5e-3)
         ref_p, state = p0.copy(), (np.zeros_like(p0), np.zeros_like(p0), 0)
         for step in range(5):
-            g = rng.normal(size=(4, 3))
-            opt.step({"w": g})
+            g = rng.normal(size=p0.shape)
+            net.flat_grads[:] = g
+            opt.step()
             ref_p, state = _reference_adam_step(ref_p, g, state, lr=5e-3)
-        npt.assert_allclose(params["w"], ref_p, rtol=1e-10)
+        npt.assert_allclose(net.flat_params, ref_p, rtol=1e-10)
 
     def test_zero_gradient_leaves_params(self):
-        params = {"p": np.array([1.0, 2.0])}
-        opt = Adam(params, lr=0.5)
-        opt.step({"p": np.zeros(2)})
-        npt.assert_array_equal(params["p"], [1.0, 2.0])
+        net = _dense_net(2, 2, seed=33)
+        p = net.flat_params.copy()
+        opt = Adam([net], lr=0.5)
+        net.zero_grads()
+        opt.step()
+        npt.assert_array_equal(net.flat_params, p)
         assert opt.t == 1
 
     def test_matches_per_tensor_update_bit_for_bit(self):
+        # one flat update per network gives every tensor of every network
+        # the bits of a separate per-tensor update
         rng = _rng(32)
-        shapes = {"a": (3, 4), "b": (5,), "c": (2, 2, 2)}
-        params = {k: rng.normal(size=s).astype(np.float32)
-                  for k, s in shapes.items()}
-        params["d"] = rng.normal(size=(3,))  # a float64 group of its own
-        ref = {k: v.copy() for k, v in params.items()}
-        ref_m = {k: np.zeros_like(v) for k, v in ref.items()}
-        ref_v = {k: np.zeros_like(v) for k, v in ref.items()}
-        opt = Adam(params, lr=1e-2)
+        conv = Network()
+        conv.add("conv", Conv1D(2, 4, 3, rng=rng), "x")
+        conv.add("bn", BatchNorm1D(4), "conv")
+        conv.add("flat", Flatten(), "bn")
+        conv.add("fc", Dense(24, 3, rng=rng), "flat")
+        nets = [conv, _dense_net(5, 2, seed=34)]  # float32 and float64
+        ref = [{k: v.copy() for k, v in net.named_params().items()}
+               for net in nets]
+        ref_m = [{k: np.zeros_like(v) for k, v in r.items()} for r in ref]
+        ref_v = [{k: np.zeros_like(v) for k, v in r.items()} for r in ref]
+        opt = Adam(nets, lr=1e-2)
         for t in range(1, 4):
-            grads = {k: rng.normal(size=v.shape).astype(v.dtype)
-                     for k, v in params.items()}
-            opt.step(grads)
+            for net in nets:
+                for g in net.named_grads().values():
+                    g[...] = rng.normal(size=g.shape)
+            opt.step()
             c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
-            for k, p in ref.items():
-                g, m, v = grads[k], ref_m[k], ref_v[k]
-                m += (1.0 - 0.9) * (g - m)
-                v += (1.0 - 0.999) * (g * g - v)
-                p -= (1e-2 * (m / c1) / (np.sqrt(v / c2) + 1e-8)).astype(p.dtype)
-            for k in ref:
-                npt.assert_array_equal(params[k], ref[k], err_msg=k)
-                npt.assert_array_equal(opt.m[k], ref_m[k], err_msg=k)
+            for net, r, rm, rv in zip(nets, ref, ref_m, ref_v):
+                grads = net.named_grads()
+                for k, p in r.items():
+                    g, m, v = grads[k], rm[k], rv[k]
+                    m += (1.0 - 0.9) * (g - m)
+                    v += (1.0 - 0.999) * (g * g - v)
+                    p -= (1e-2 * (m / c1) / (np.sqrt(v / c2) + 1e-8)).astype(p.dtype)
+        for i, (net, r, rm) in enumerate(zip(nets, ref, ref_m)):
+            assert opt.m[i].dtype == net.flat_params.dtype
+            npt.assert_array_equal(
+                opt.m[i], np.concatenate([v.ravel() for v in rm.values()]))
+            for k, p in net.named_params().items():
+                npt.assert_array_equal(p, r[k], err_msg=k)
 
     def test_updates_in_place_preserving_dtype(self):
-        arr = np.ones(3, dtype=np.float32)
-        params = {"p": arr}
-        Adam(params, lr=0.1).step({"p": np.ones(3)})
-        assert params["p"] is arr
-        assert arr.dtype == np.float32
+        net = _dense_net(3, 1, seed=35, dtype=np.float32)
+        flat, w = net.flat_params, net.get_layer("fc").params["w"]
+        net.flat_grads.fill(1.0)
+        Adam([net], lr=0.1).step()
+        assert net.flat_params is flat and flat.dtype == np.float32
+        assert net.get_layer("fc").params["w"] is w
+        npt.assert_allclose(w, net.flat_params[:3].reshape(3, 1))
 
 
 # --------------------------------------------------------------------------

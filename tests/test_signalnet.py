@@ -8,15 +8,17 @@ import pytest
 
 from qsine import signalnet
 from qsine.nn import Network
-from qsine.nn.checkpoint import _pack, _unpack, chain_to_bytes, network_to_bytes
+from qsine.nn.checkpoint import (_pack, _unpack, chain_to_bytes, load_chain,
+                                 load_network, network_to_bytes, save_chain,
+                                 save_network)
 from qsine.nn.gradcheck import finite_diff_check
 from qsine.signals import GenConfig, ParameterSet, make_dataset, substream, synthesize, to_iq
 from qsine.signalnet import (
     INFER_ROWS,
     SignalNetModel,
+    SinusoidEstimator,
     TrainConfig,
     _cancel_tone,
-    _chain_params,
     _detection_probs,
     _eval_estimator_loss,
     _mean_count_loss,
@@ -76,7 +78,7 @@ class TestReconstruction:
 
 class TestArchitectures:
     def test_detection_param_count(self):
-        assert build_detection_network().param_count() == 105_829
+        assert build_detection_network().flat_params.size == 105_829
 
     def test_detection_probs(self):
         net = build_detection_network(seed=1)
@@ -90,12 +92,12 @@ class TestArchitectures:
             build_detection_network(N=60)
 
     def test_block_param_count(self):
-        assert build_block_network().param_count() == 13_747
+        assert build_block_network().flat_params.size == 13_747
 
     def test_estimator_is_m_blocks(self):
         est = build_estimator(3, seed=5)
         assert est.m == 3
-        assert est.param_count() == 3 * 13_747
+        assert sum(b.flat_params.size for b in est.blocks) == 3 * 13_747
 
     def test_blocks_get_distinct_initializations(self):
         est = build_estimator(2, seed=5)
@@ -210,26 +212,29 @@ class TestChunkedInference:
 
 def _estimator_fd(est, X, At, Ft, Pt, h, entries=3, seed=0):
     """Central-difference check of estimator_batch_grads on a float64 chain."""
-    est64 = est.astype(np.float64)
+    est64 = SinusoidEstimator([b.astype(np.float64) for b in est.blocks], N=est.N)
     X = X.astype(np.float64)
-    _, grads = estimator_batch_grads(est64, X, At, Ft, Pt)
-    params = _chain_params(est64)
+    estimator_batch_grads(est64, X, At, Ft, Pt)
+    # copies: every later call rewrites the gradient buffers in place
+    analytic = [{k: g.copy() for k, g in b.named_grads().items()}
+                for b in est64.blocks]
     rng = np.random.default_rng(seed)
     max_rel = 0.0
-    for name, p in params.items():
-        flat = p.reshape(-1)
-        for i in rng.choice(flat.size, size=min(entries, flat.size),
-                            replace=False):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = estimator_batch_grads(est64, X, At, Ft, Pt)[0]
-            flat[i] = orig - h
-            lm = estimator_batch_grads(est64, X, At, Ft, Pt)[0]
-            flat[i] = orig
-            fd = (lp - lm) / (2 * h)
-            an = float(grads[name].reshape(-1)[i])
-            max_rel = max(max_rel,
-                          abs(an - fd) / max(abs(an), abs(fd), 1e-6))
+    for block, grads in zip(est64.blocks, analytic):
+        for name, p in block.named_params().items():
+            flat = p.reshape(-1)
+            for i in rng.choice(flat.size, size=min(entries, flat.size),
+                                replace=False):
+                orig = flat[i]
+                flat[i] = orig + h
+                lp = estimator_batch_grads(est64, X, At, Ft, Pt)
+                flat[i] = orig - h
+                lm = estimator_batch_grads(est64, X, At, Ft, Pt)
+                flat[i] = orig
+                fd = (lp - lm) / (2 * h)
+                an = float(grads[name].reshape(-1)[i])
+                max_rel = max(max_rel,
+                              abs(an - fd) / max(abs(an), abs(fd), 1e-6))
     return max_rel
 
 
@@ -306,7 +311,8 @@ class TestTrainingGradients:
         net, ref = build_detection_network(seed=5), build_detection_network(seed=5)
         X = _batch(37, B=8)
         counts = np.array([1, 2, 3, 4, 5, 1, 2, 3])
-        loss, grads = detection_batch_grads(net, X, counts)
+        loss = detection_batch_grads(net, X, counts)
+        grads = net.named_grads()
 
         ref.zero_grads()
         probs = ref.forward(X, train=True)["probs"]
@@ -371,6 +377,33 @@ class TestTraining:
                            for k in ("amps", "freqs", "phases")))
         final = _eval_estimator_loss(est, X, At, Ft, Pt)
         assert np.isfinite(final)
+
+    def test_layer_tensors_are_views_of_the_flat_buffers(self, tmp_path):
+        # every params[k] / grads[k] of a layer is a view into its network's
+        # flat_params / flat_grads, and the views tile them, on every path
+        # that builds, loads, casts, restores or trains a network
+        def check(net):
+            params, grads = net.named_params(), net.named_grads()
+            assert sum(p.size for p in params.values()) == net.flat_params.size
+            for key, p in params.items():
+                assert np.shares_memory(p, net.flat_params), key
+                assert np.shares_memory(grads[key], net.flat_grads), key
+
+        det, est = build_detection_network(seed=1), build_estimator(2, seed=2)
+        save_network(det, tmp_path / "det.ckpt")
+        save_chain(est.blocks, tmp_path / "est.ckpt")
+        det64 = det.astype(np.float64)
+        assert det64.flat_params.dtype == det64.flat_grads.dtype == np.float64
+        before, snap = network_to_bytes(det), det.snapshot()
+        det.flat_params += 1.0
+        det.restore(snap)
+        assert network_to_bytes(det) == before
+        trained, _ = train_estimator(_tiny_dataset(55, 60, m_fixed=2),
+                                     TrainConfig(seed=6, estimator_epochs=1))
+        for net in (det, det64, *est.blocks,
+                    load_network(tmp_path / "det.ckpt")[0],
+                    *load_chain(tmp_path / "est.ckpt")[0], *trained.blocks):
+            check(net)
 
     def test_estimator_rejects_mixed_counts(self):
         examples = _tiny_dataset(54, 60)  # counts drawn from 1..5
@@ -443,9 +476,9 @@ class TestBundle:
     def test_estimator_checkpoint_meta(self, tmp_path):
         est = build_estimator(2, seed=80)
         path = tmp_path / "est.ckpt"
-        save_estimator(est, path, bits=1, extra={"note": "tiny"})
+        save_estimator(est, path, bits=1)
         loaded, meta = load_estimator(path)
-        assert meta["m"] == 2 and meta["bits"] == 1 and meta["note"] == "tiny"
+        assert meta["m"] == 2 and meta["bits"] == 1
         assert meta["task"] == "estimator"
         assert loaded.m == 2 and "residual_mode" not in meta
         X = _batch(81, B=3)
