@@ -321,11 +321,10 @@ def _train_examples(args, m_fixed: int | None) -> Dataset:
 
 def _train_model(args, cfg: TrainConfig, m: int | None):
     """Trains the count detector (m None) or the m-sinusoid chain; returns
-    (model, history)."""
-    dataset = _train_examples(args, m)
+    (model, history). The frames go unnamed, so training can free them."""
     if m is None:
-        return train_detection(dataset, cfg, M=args.m_max)
-    return train_estimator(dataset, cfg)
+        return train_detection(_train_examples(args, m), cfg, M=args.m_max)
+    return train_estimator(_train_examples(args, m), cfg)
 
 
 def _write_log(path: str, history: list[dict]):

@@ -25,7 +25,7 @@ def finite_diff_check(
 ) -> dict:
     """Compares analytic parameter gradients against central differences.
 
-    loss_fn maps the forward-value dict to (scalar loss, dict of output-node
+    loss_fn maps the forward's outputs to (scalar loss, dict of output-node
     gradients). Checks up to max_entries randomly chosen entries per
     parameter tensor. Forwards run in training mode, the mode backward
     differentiates; dropout masks are frozen for the duration so the loss

@@ -1,16 +1,16 @@
 """Layers for the small numpy network engine.
 
 Every layer follows the same contract: ``forward(x, train=True)`` caches
-what the backward pass needs, ``backward(dy)`` returns the gradient w.r.t.
-the input and adds into ``self.grads`` (same keys as ``self.params``). An
-inference forward (``train=False``) computes only the output and drops the
-cache, so inference memory is the activations alone and a backward after it
-raises instead of differentiating the last training batch. Parameters live in
-``self.params``, non-trained buffers (BatchNorm running stats) in
-``self.state``. In a Network, ``params`` and ``grads`` are views into the
-network's flat buffers, so layers write them in place and never rebind them.
-``config()`` + ``from_config()`` round-trip a layer through the checkpoint
-format.
+what the backward pass needs and returns the output, ``backward(dy)`` returns
+the gradient w.r.t. the input and adds into ``self.grads`` (same keys as
+``self.params``). An inference forward (``train=False``) computes only the
+output and drops the cache, so a Network's inference memory is the live
+activations of one row chunk, and a backward after it raises instead of
+differentiating the last training batch. Parameters live in ``self.params``,
+non-trained buffers (BatchNorm running stats) in ``self.state``. In a
+Network, ``params`` and ``grads`` are views into its flat buffers, written in
+place and never rebound. ``config()`` + ``from_config()`` round-trip a layer
+through the checkpoint format.
 """
 from __future__ import annotations
 

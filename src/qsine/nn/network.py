@@ -4,12 +4,13 @@ Nodes are added in topological order; each consumes the network input ("x")
 or an earlier node's output, so fan-out (several nodes reading one tensor)
 is allowed and the backward pass accumulates gradients at the shared source.
 
-All parameters of a network live in one flat buffer, ``flat_params``, and
-their gradients in another, ``flat_grads``: each layer's ``params[k]`` and
-``grads[k]`` are views into them, in node order. Parameters are written in
-place, never replaced, so the gradient reset and the best-weights restore are
-one vector operation each, and an optimizer step a few. Only building
-(``add``), loading and ``astype`` re-pack the buffers.
+Nodes are added first, then ``pack()`` runs once. It lays all parameters out
+in one flat buffer, ``flat_params``, and their gradients in another,
+``flat_grads``: each layer's ``params[k]`` and ``grads[k]`` are views into
+them, in node order, written in place and never replaced. It also records
+each value's last reader: a forward drops every value once that reader has
+run, and returns only the outputs, the nodes no node reads. A network with
+nodes added since its last pack raises on any use.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ class Network:
     def __init__(self):
         self.nodes: list[_Node] = []
         self._names: set[str] = {INPUT}
-        self.pack()
+        self._packing = None
 
     def add(self, name: str, layer: Layer, src: str = INPUT) -> str:
         """Appends a named layer reading from src ("x" or an earlier node)."""
@@ -44,33 +45,48 @@ class Network:
             raise ValueError(f"unknown input {src!r} for node {name!r}")
         self.nodes.append(_Node(name, layer, src))
         self._names.add(name)
-        self.pack()
+        self._packing = None
         return name
 
     def pack(self):
         """Copies every layer's parameters into new flat buffers and rebinds
         each params[k] and grads[k] to its view there; gradients restart at
-        zero."""
+        zero. Records, per node, the values whose last reader it is."""
         tensors = [(node.layer, key, val) for node in self.nodes
                    for key, val in node.layer.params.items()]
         dtypes = {val.dtype for *_, val in tensors} or {np.dtype(np.float32)}
         if len(dtypes) > 1:
             raise ValueError(f"parameters of mixed dtypes {sorted(map(str, dtypes))}")
-        self.flat_params = np.empty(sum(val.size for *_, val in tensors), dtypes.pop())
-        self.flat_grads = np.zeros_like(self.flat_params)
+        params = np.empty(sum(val.size for *_, val in tensors), dtypes.pop())
+        grads = np.zeros_like(params)
         offset = 0
         for layer, key, val in tensors:
             end = offset + val.size
-            self.flat_params[offset:end] = val.ravel()
-            layer.params[key] = self.flat_params[offset:end].reshape(val.shape)
-            layer.grads[key] = self.flat_grads[offset:end].reshape(val.shape)
+            params[offset:end] = val.ravel()
+            layer.params[key] = params[offset:end].reshape(val.shape)
+            layer.grads[key] = grads[offset:end].reshape(val.shape)
             offset = end
+        last = {node.src: i for i, node in enumerate(self.nodes)}
+        drops = [[v for v, i in last.items() if i == j] for j in range(len(self.nodes))]
+        self._packing = params, grads, drops
+
+    def _packed(self):
+        """(params, grads, drops) of the last pack, if no node came since."""
+        if self._packing is None or len(self._packing[2]) != len(self.nodes):
+            raise RuntimeError("the network changed since its last pack(); "
+                               "call pack() before using it")
+        return self._packing
+
+    flat_params = property(lambda self: self._packed()[0])
+    flat_grads = property(lambda self: self._packed()[1])
 
     def forward(self, x: np.ndarray, train: bool = False) -> dict[str, np.ndarray]:
-        """Runs all nodes; returns every intermediate keyed by node name."""
+        """Returns the outputs by name; frees each value after its last reader."""
         values: dict[str, np.ndarray] = {INPUT: x}
-        for node in self.nodes:
+        for node, drops in zip(self.nodes, self._packed()[2]):
             values[node.name] = node.layer.forward(values[node.src], train=train)
+            for name in drops:
+                del values[name]
         return values
 
     def backward(self, out_grads: dict[str, np.ndarray],
@@ -82,6 +98,7 @@ class Network:
         False the nodes that read the input fill their parameter grads only,
         and None is returned.
         """
+        self._packed()
         acc: dict[str, np.ndarray | None] = {n.name: None for n in self.nodes}
         acc[INPUT] = None
         for name, g in out_grads.items():
@@ -89,7 +106,7 @@ class Network:
                 raise ValueError(f"unknown output node {name!r}")
             acc[name] = np.array(g, copy=True)
         for node in reversed(self.nodes):
-            g = acc[node.name]
+            g = acc.pop(node.name)
             if g is None:
                 continue
             if node.src == INPUT and not input_grad:

@@ -36,7 +36,7 @@ class Adam:
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
         for net, m, v in zip(self.nets, self.m, self.v):
-            g = net.flat_grads
+            p, g = net.flat_params, net.flat_grads
             m += (1.0 - b1) * (g - m)
             v += (1.0 - b2) * (g * g - v)
-            net.flat_params -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)

@@ -103,6 +103,7 @@ def build_detection_network(N: int = 64, M: int = 5, seed: int = 0) -> Network:
     net.add("fc2_relu", Activation("relu"), "fc2")
     net.add("logits", Dense(64, M, rng=rng), "fc2_relu")
     net.add("probs", Activation("softmax"), "logits")
+    net.pack()
     return net
 
 
@@ -151,6 +152,7 @@ def build_block_network(N: int = 64, seed: int = 0, tag: int = 0) -> Network:
     net.add("u_fc", Dense(flat_dim, 16, rng=rng), "u_flat")
     net.add("u_selu", Activation("selu"), "u_fc")
     net.add("amp", Dense(16, 1, rng=rng), "u_selu")
+    net.pack()
     return net
 
 
@@ -377,6 +379,7 @@ def train_detection(dataset: Dataset, cfg: TrainConfig, M: int = 5):
     Returns (network, history); the network carries the best-validation
     weights."""
     X, counts = detection_arrays(dataset)
+    del dataset  # freed unless the caller holds it; training reads the copies
     net = build_detection_network(N=X.shape[1], M=M, seed=cfg.seed)
     tr, va = _split(len(X), cfg)
     history = _fit(cfg, cfg.detection_epochs, tr,
@@ -448,6 +451,7 @@ def train_estimator(dataset: Dataset, cfg: TrainConfig):
     the k-th lowest-frequency sinusoid. Returns (estimator, history).
     """
     X, At, Ft, Pt = estimator_arrays(dataset)
+    del dataset  # freed unless the caller holds it; training reads the copies
     At, Ft, Pt = (a.astype(np.float64) for a in (At, Ft, Pt))
     est = build_estimator(At.shape[1], N=X.shape[1], seed=cfg.seed)
     tr, va = _split(len(X), cfg)

@@ -113,9 +113,10 @@ def _ensure_detection() -> Path:
     if not path.exists():
         CACHE.mkdir(exist_ok=True)
         cfg = GenConfig(bits=3, seed=_DET_DATA_SEED, snr_range=DET_SNR_RANGE)
-        examples = make_dataset(cfg, DET_SAMPLES)
         tcfg = TrainConfig(seed=_TRAIN_SEED, detection_epochs=DET_EPOCHS)
-        net, _ = train_detection(examples, tcfg)
+        # passed unnamed, so training frees the float64 frames once it holds
+        # its float32 copy
+        net, _ = train_detection(make_dataset(cfg, DET_SAMPLES), tcfg)
         tmp = _tmp_path(path)
         save_network(net, tmp, meta={"task": "detection", "N": 64, "M": 5,
                                      "bits": 3})
@@ -130,9 +131,8 @@ def _ensure_estimator(m: int, bits: int) -> Path:
         data_seed = _EST_DATA_SEED[m] if bits == 3 else _B1_DATA_SEED
         cfg = GenConfig(bits=bits, seed=data_seed, m_fixed=m,
                         snr_range=(-10.0, 10.0))
-        examples = make_dataset(cfg, EST_SAMPLES)
         tcfg = TrainConfig(seed=_TRAIN_SEED, estimator_epochs=EST_EPOCHS)
-        est, _ = train_estimator(examples, tcfg)
+        est, _ = train_estimator(make_dataset(cfg, EST_SAMPLES), tcfg)
         tmp = _tmp_path(path)
         save_estimator(est, tmp, bits=bits)
         os.replace(tmp, path)

@@ -55,3 +55,12 @@ def test_imported_names_resolve(name):
     assert names  # the parse found the imports
     for modname, attr in names:
         assert _resolves(modname, attr), f"bench/{name} imports {attr} from {modname}"
+
+
+def test_detector_inference_forward_returns_probs():
+    # bench/run.py _check_detector reads "probs" from an inference forward
+    import numpy as np
+    from qsine.signalnet import build_detection_network
+    x = np.zeros((3, 64, 2), np.float32)
+    probs = build_detection_network(N=64, M=5).forward(x, train=False)["probs"]
+    assert probs.shape == (3, 5)

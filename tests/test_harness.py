@@ -10,6 +10,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -606,6 +607,33 @@ class TestTrainCommand:
         assert Path(ckpt).exists()
         _, rows = _read_csv(Path(ckpt + ".log.csv").read_text())
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("task", [["detection"], ["estimator", "--m", "1"]])
+    def test_frames_freed_before_training(self, capsys, tmp_path, monkeypatch, task):
+        # the command keeps one copy of its frames: the float64 dataset is
+        # gone before the first network is built
+        refs, freed = [], []
+        train_examples = harness._train_examples
+
+        def draw(*args):
+            ds = train_examples(*args)
+            refs.append(weakref.ref(ds))
+            return ds
+
+        monkeypatch.setattr(harness, "_train_examples", draw)
+        name = "build_detection_network" if task[0] == "detection" else "build_estimator"
+        build = getattr(signalnet, name)
+
+        def spy(*args, **kwargs):
+            freed.append(refs[0]() is None)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(signalnet, name, spy)
+        code, _, _ = _run(capsys, [
+            "train", "--task", *task, "--out", str(tmp_path / "c.ckpt"),
+            "--samples", "40", "--epochs", "1", "--seed", "1"])
+        assert code == 0
+        assert freed == [True]
 
     def test_estimator_requires_m(self, capsys, tmp_path):
         code, _, err = _run(capsys, [

@@ -290,6 +290,7 @@ class TestInferenceForward:
         net.add("bn", BatchNorm1D(4), "conv")
         net.add("flat", Flatten(), "bn")
         net.add("fc", Dense(32, 1, rng=rng), "flat")
+        net.pack()
         x = rng.normal(size=(3, 8, 2)).astype(np.float32)
         dout = np.ones((3, 1), np.float32)
         net.forward(x, train=True)
@@ -317,16 +318,62 @@ class TestNetwork:
         net.add("trunk", Dense(4, 3, rng=rng, dtype=np.float64), "flat")
         net.add("h1", Dense(3, 2, rng=rng, dtype=np.float64), "trunk")
         net.add("h2", Dense(3, 2, rng=rng, dtype=np.float64), "trunk")
+        net.pack()
         x = rng.normal(size=(5, 4, 1))
         net.zero_grads()
-        vals = net.forward(x, train=True)
+        net.forward(x, train=True)
         net.backward({"h1": np.ones((5, 2)), "h2": np.ones((5, 2))})
         w1 = net.get_layer("h1").params["w"]
         w2 = net.get_layer("h2").params["w"]
         # d loss / d trunk_out = 1 @ w1.T + 1 @ w2.T, pushed through trunk
         dtrunk = np.ones((5, 2)) @ w1.T + np.ones((5, 2)) @ w2.T
-        want_wt = vals["flat"].T @ dtrunk
+        want_wt = x.reshape(5, -1).T @ dtrunk
         npt.assert_allclose(net.get_layer("trunk").grads["w"], want_wt, rtol=1e-10)
+
+    def test_forward_returns_only_the_outputs(self):
+        # trunk fans out to h1 and to relu; its last reader is relu, so it
+        # must live past h1, and only the nodes nothing reads come back
+        rng = _rng(8)
+        net = Network()
+        net.add("flat", Flatten(), "x")
+        net.add("trunk", Dense(4, 3, rng=rng), "flat")
+        net.add("h1", Dense(3, 2, rng=rng), "trunk")
+        net.add("relu", Activation("relu"), "trunk")
+        net.add("h2", Dense(3, 2, rng=rng), "relu")
+        net.pack()
+        x = rng.normal(size=(5, 4, 1)).astype(np.float32)
+        every = {"x": x}
+        for node in net.nodes:
+            every[node.name] = node.layer.forward(every[node.src])
+        for train in (False, True):
+            vals = net.forward(x, train=train)
+            assert sorted(vals) == ["h1", "h2"], train
+            for name, val in vals.items():
+                assert val.tobytes() == every[name].tobytes(), (train, name)
+
+    def test_changed_after_pack_raises(self):
+        # no pass and no optimizer may use a network whose nodes changed
+        # since its last pack: the new layers' tensors live outside the
+        # flat buffers
+        rng = _rng(12)
+        net = Network()
+        net.add("fc", Dense(3, 2, rng=rng), "x")
+        x = rng.normal(size=(4, 3)).astype(np.float32)
+        with pytest.raises(RuntimeError, match="pack"):
+            net.forward(x)  # never packed
+        net.pack()
+        net.forward(x, train=True)
+        net.add("out", Dense(2, 1, rng=rng), "fc")
+        uses = (lambda: net.flat_params, lambda: net.flat_grads,
+                net.zero_grads, net.snapshot, lambda: Adam([net]),
+                lambda: net.forward(x, train=True),
+                lambda: net.backward({"out": np.ones((4, 1), np.float32)}))
+        for use in uses:
+            with pytest.raises(RuntimeError, match="pack"):
+                use()
+        net.pack()
+        assert net.flat_params.size == 3 * 2 + 2 + 2 * 1 + 1
+        assert sorted(net.forward(x)) == ["out"]
 
     def test_backward_without_input_grad(self):
         rng = _rng(9)
@@ -334,6 +381,7 @@ class TestNetwork:
         net.add("conv", Conv1D(2, 4, 3, rng=rng), "x")
         net.add("flat", Flatten(), "conv")
         net.add("fc", Dense(32, 1, rng=rng), "flat")
+        net.pack()
         x = rng.normal(size=(3, 8, 2)).astype(np.float32)
         dout = np.ones((3, 1), np.float32)
         net.zero_grads()
@@ -357,6 +405,7 @@ class TestNetwork:
     def test_backward_unknown_node_rejected(self):
         net = Network()
         net.add("a", Flatten(), "x")
+        net.pack()
         net.forward(np.ones((2, 3, 1)))
         with pytest.raises(ValueError):
             net.backward({"zzz": np.ones((2, 3))})
@@ -365,6 +414,7 @@ class TestNetwork:
         # Adam updates the named arrays in place
         net = Network()
         net.add("fc", Dense(3, 2), "x")
+        net.pack()
         params = net.named_params()
         assert set(params) == {"fc.w", "fc.b"}
         params["fc.b"][:] = [1.0, 2.0]
@@ -375,6 +425,7 @@ class TestNetwork:
         net = Network()
         net.add("fc", Dense(3, 2, rng=rng), "x")
         net.add("bn", BatchNorm1D(2), "fc")
+        net.pack()
         snap = net.snapshot()
         net.forward(rng.normal(size=(4, 3)).astype(np.float32), train=True)
         net.get_layer("fc").params["b"][:] = 9.0
@@ -385,6 +436,7 @@ class TestNetwork:
     def test_param_count(self):
         net = Network()
         net.add("fc", Dense(10, 4), "x")
+        net.pack()
         assert net.flat_params.size == 10 * 4 + 4
 
 
@@ -503,6 +555,7 @@ def _reference_adam_step(p, g, state, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
 def _dense_net(n_in, n_out, seed, dtype=np.float64):
     net = Network()
     net.add("fc", Dense(n_in, n_out, rng=_rng(seed), dtype=dtype), "x")
+    net.pack()
     return net
 
 
@@ -548,6 +601,7 @@ class TestAdam:
         conv.add("bn", BatchNorm1D(4), "conv")
         conv.add("flat", Flatten(), "bn")
         conv.add("fc", Dense(24, 3, rng=rng), "flat")
+        conv.pack()
         nets = [conv, _dense_net(5, 2, seed=34)]  # float32 and float64
         ref = [{k: v.copy() for k, v in net.named_params().items()}
                for net in nets]
@@ -596,6 +650,7 @@ def _small_net(seed=41):
     net.add("relu", Activation("relu"), "bn")
     net.add("flat", Flatten(), "relu")
     net.add("out", Dense(18, 2, rng=rng), "flat")
+    net.pack()
     return net
 
 

@@ -76,6 +76,18 @@ class TestReconstruction:
 # architectures
 # --------------------------------------------------------------------------
 
+def _count_packs(monkeypatch) -> list:
+    """Records every network that Network.pack runs on, once per call."""
+    packed, pack = [], Network.pack
+
+    def counting_pack(net):
+        packed.append(net)
+        pack(net)
+
+    monkeypatch.setattr(Network, "pack", counting_pack)
+    return packed
+
+
 class TestArchitectures:
     def test_detection_param_count(self):
         assert build_detection_network().flat_params.size == 105_829
@@ -93,6 +105,17 @@ class TestArchitectures:
 
     def test_block_param_count(self):
         assert build_block_network().flat_params.size == 13_747
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_forward_returns_only_the_outputs(self, train):
+        det, block = build_detection_network(seed=1), build_block_network(seed=1)
+        assert sorted(det.forward(_batch(2), train=train)) == ["probs"]
+        assert sorted(block.forward(_batch(2), train=train)) == ["amp", "freq", "phase"]
+
+    def test_build_packs_once_per_network(self, monkeypatch):
+        packed = _count_packs(monkeypatch)
+        det, est = build_detection_network(seed=1), build_estimator(3, seed=1)
+        assert packed == [det, *est.blocks]
 
     def test_estimator_is_m_blocks(self):
         est = build_estimator(3, seed=5)
@@ -173,6 +196,28 @@ class TestChunkedInference:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_detector_forward_peak_is_one_layer(self):
+        # a forward drops each activation after its last reader, so its peak
+        # is the caller's input plus one layer's working set: that layer's
+        # input and output, and temporaries no larger than those two (a
+        # conv's padded input and one tap product), at most twice the two
+        # largest activations. A forward that keeps every activation peaks
+        # near their sum, about 11 MB on these 150 rows
+        net = build_detection_network(seed=92)
+        x = _batch(93, B=150)
+        sizes, val = [], x
+        for node in net.nodes:  # the detector is a chain of nodes
+            val = node.layer.forward(val, train=False)
+            sizes.append(val.nbytes)
+        largest = sorted(sizes)[-2:]
+        tracemalloc.start()
+        try:
+            net.forward(x, train=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes + 2 * sum(largest), (peak, largest)
 
     def test_row_chunks_merge_a_short_tail(self, monkeypatch):
         monkeypatch.setattr(signalnet, "INFER_ROWS", 8)
@@ -395,7 +440,7 @@ class TestTraining:
         det64 = det.astype(np.float64)
         assert det64.flat_params.dtype == det64.flat_grads.dtype == np.float64
         before, snap = network_to_bytes(det), det.snapshot()
-        det.flat_params += 1.0
+        det.flat_params[:] += 1.0
         det.restore(snap)
         assert network_to_bytes(det) == before
         trained, _ = train_estimator(_tiny_dataset(55, 60, m_fixed=2),
@@ -437,6 +482,14 @@ class TestBundle:
             for g, w in zip(got, want):
                 npt.assert_allclose(g, w, rtol=1e-6)
         assert loaded.bits == 3 and loaded.M == 5 and loaded.N == 64
+
+    def test_loading_the_suite_bundle_packs_once_per_network(self, bundle_b3_dir,
+                                                              monkeypatch):
+        packed = _count_packs(monkeypatch)
+        model = load_signalnet(bundle_b3_dir)
+        blocks = [b for m in sorted(model.estimators) for b in model.estimators[m].blocks]
+        assert len(blocks) == 1 + 2 + 3 + 4 + 5
+        assert packed == [model.detection, *blocks]
 
     def test_load_accepts_directory(self, tmp_path):
         model = _tiny_bundle()
