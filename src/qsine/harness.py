@@ -174,6 +174,15 @@ def _check_sizes(args) -> None:
                 f"--{flag.replace('_', '-')} must be >= 1, got {value}")
 
 
+def _check_meta(path, meta: dict, flags: dict) -> None:
+    """Rejects a dataset or model whose meta disagrees with the command's
+    flags; flags maps a meta field to (flag, value)."""
+    for field, (flag, value) in flags.items():
+        if field in meta and meta[field] != value:
+            raise ValueError(f"{path}: {field}={meta[field]} does not match "
+                             f"{flag} {value}")
+
+
 def _csv_text(header: list[str], rows: list[tuple]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -303,7 +312,10 @@ def _train_examples(args, m_fixed: int | None) -> Dataset:
     """Training frames: --data filtered to count m_fixed, or --samples fresh
     frames (default DETECTION_SAMPLES / ESTIMATOR_SAMPLES)."""
     if args.data is not None:
-        _, dataset = load_dataset(args.data)
+        meta, dataset = load_dataset(args.data)
+        _check_meta(f"{args.data}.labels.csv", meta, {
+            "N": ("--frame-len", args.frame_len), "M": ("--m-max", args.m_max),
+            "bits": ("--bits", args.bits_int)})
         if m_fixed is not None:
             dataset = dataset[dataset.counts == m_fixed]
             if not len(dataset):
@@ -427,6 +439,9 @@ def cmd_eval(args) -> int:
     _check_sizes(args)
     grid = _snr_grid(args)
     bundle = load_signalnet(args.bundle) if args.bundle else None
+    if bundle is not None:
+        _check_meta(args.bundle, {"N": bundle.N},
+                    {"N": ("--frame-len", args.frame_len)})
     algorithms = _select_algorithms(args, bundle)
     if PERIODOGRAM_ALGORITHMS & set(algorithms):
         check_nfft(args.nfft, args.frame_len)
@@ -562,6 +577,8 @@ def cmd_ood(args) -> int:
     if est.m != args.m:
         raise ValueError(
             f"--m {args.m} does not match checkpoint (m={est.m})")
+    _check_meta(args.est_ckpt, meta, {"N": ("--frame-len", args.frame_len),
+                                      "bits": ("--bits", args.bits_int)})
     cells = [(_ood_cell, (args, est, snr, mode, tag_name))
              for snr in _snr_grid(args)
              for mode, tag_name in (("in_distribution", "in_dist"),

@@ -6,24 +6,12 @@ from .layers import (
     Dense,
     Dropout,
     Flatten,
-    Layer,
     MaxPool1D,
-    SELU_ALPHA,
-    SELU_LAMBDA,
 )
 from .network import Network
 from .optim import Adam
-from .gradcheck import finite_diff_check
-from .checkpoint import (
-    load_chain,
-    load_network,
-    save_chain,
-    save_network,
-)
 
 __all__ = [
     "Activation", "Adam", "BatchNorm1D", "Conv1D", "Dense", "Dropout",
-    "Flatten", "Layer", "MaxPool1D", "Network", "SELU_ALPHA", "SELU_LAMBDA",
-    "finite_diff_check", "load_chain", "load_network", "save_chain",
-    "save_network",
+    "Flatten", "MaxPool1D", "Network",
 ]

@@ -11,7 +11,8 @@ Layout (little-endian):
 A "network" manifest lists nodes (name / kind / config / src) and tensors
 (node, key, kind param|state, shape). A "chain" manifest lists the byte
 length of each embedded network blob; the payload is their concatenation.
-Identical models serialize to identical bytes.
+Identical models serialize to identical bytes. Loading rebuilds the network
+with zero weights, packs it once and copies each tensor into its place.
 """
 from __future__ import annotations
 
@@ -67,18 +68,22 @@ def network_from_bytes(data: bytes) -> tuple[Network, dict]:
     net = Network()
     for spec in manifest["nodes"]:
         net.add(spec["name"], layer_from_config(spec["kind"], spec["config"]), spec["src"])
+    net.pack()
     offset = 0
     for t in manifest["tensors"]:
-        size = int(np.prod(t["shape"])) if t["shape"] else 1
-        arr = np.frombuffer(payload, dtype="<f4", count=size, offset=offset)
-        offset += size * 4
-        arr = arr.reshape(t["shape"]).astype(np.float32)
         layer = net.get_layer(t["node"])
-        target = layer.params if t["kind"] == "param" else layer.state
-        if t["key"] not in target:
-            raise ValueError(f"tensor {t['node']}.{t['key']} not in rebuilt layer")
-        target[t["key"]] = arr
-    net.pack()
+        name = f"tensor {t['node']}.{t['key']}"
+        # a param is a view of flat_params, a state array the layer's own
+        dst = (layer.params if t["kind"] == "param" else layer.state).get(t["key"])
+        if dst is None:
+            raise ValueError(f"{name} not in rebuilt layer")
+        if list(dst.shape) != t["shape"]:
+            raise ValueError(f"{name} has shape {t['shape']}, the rebuilt "
+                             f"layer {list(dst.shape)}")
+        if offset + dst.nbytes > len(payload):
+            raise ValueError(f"payload ends inside {name}")
+        dst[...] = np.frombuffer(payload, "<f4", dst.size, offset).reshape(dst.shape)
+        offset += dst.nbytes
     return net, manifest["meta"]
 
 
@@ -86,8 +91,18 @@ def save_network(net: Network, path, meta: dict | None = None):
     Path(path).write_bytes(network_to_bytes(net, meta))
 
 
+def _load(path, from_bytes):
+    """from_bytes of the file's bytes; a malformed file's error names it."""
+    data = Path(path).read_bytes()
+    try:
+        return from_bytes(data)
+    except (ValueError, KeyError, TypeError, struct.error) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: {what}") from exc
+
+
 def load_network(path) -> tuple[Network, dict]:
-    return network_from_bytes(Path(path).read_bytes())
+    return _load(path, network_from_bytes)
 
 
 def chain_to_bytes(nets: list[Network], meta: dict | None = None) -> bytes:
@@ -115,4 +130,4 @@ def save_chain(nets: list[Network], path, meta: dict | None = None):
 
 
 def load_chain(path) -> tuple[list[Network], dict]:
-    return chain_from_bytes(Path(path).read_bytes())
+    return _load(path, chain_from_bytes)

@@ -28,8 +28,9 @@ def finite_diff_check(
     loss_fn maps the forward's outputs to (scalar loss, dict of output-node
     gradients). Checks up to max_entries randomly chosen entries per
     parameter tensor. Forwards run in training mode, the mode backward
-    differentiates; dropout masks are frozen for the duration so the loss
-    is a deterministic function of the parameters.
+    differentiates; every forward restarts each dropout's generator from
+    its state at the call, so all draw one mask and the loss is a
+    deterministic function of the parameters.
 
     Returns a report dict with max_rel_err, worst_param and n_checked.
     """
@@ -43,46 +44,37 @@ def finite_diff_check(
     rng = rng if rng is not None else np.random.default_rng(0)
 
     dropouts = [n.layer for n in net.nodes if isinstance(n.layer, Dropout)]
-    saved_flags = [d.cache_mask for d in dropouts]
-    for d in dropouts:
-        d.cache_mask = True
-        d._mask = None
+    states = [d.rng.bit_generator.state for d in dropouts]
 
-    try:
-        net.zero_grads()
-        values = net.forward(x, train=True)  # materializes dropout masks
-        _, out_grads = loss_fn(values)
-        net.backward(out_grads)
-        analytic = {k: v.copy() for k, v in net.named_grads().items()}
+    def forward() -> dict[str, np.ndarray]:
+        for d, state in zip(dropouts, states):
+            d.rng.bit_generator.state = state
+        return net.forward(x, train=True)
 
-        def loss_at() -> float:
-            vals = net.forward(x, train=True)
-            return float(loss_fn(vals)[0])
+    net.zero_grads()
+    _, out_grads = loss_fn(forward())
+    net.backward(out_grads)
+    analytic = {k: v.copy() for k, v in net.named_grads().items()}
 
-        max_rel = 0.0
-        worst = ""
-        n_checked = 0
-        params = net.named_params()
-        for name, p in params.items():
-            flat = p.reshape(-1)
-            n_take = min(max_entries, flat.size)
-            idx = rng.choice(flat.size, size=n_take, replace=False)
-            for i in idx:
-                orig = flat[i]
-                flat[i] = orig + h
-                lp = loss_at()
-                flat[i] = orig - h
-                lm = loss_at()
-                flat[i] = orig
-                fd = (lp - lm) / (2 * h)
-                an = float(analytic[name].reshape(-1)[i])
-                rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
-                n_checked += 1
-                if rel > max_rel:
-                    max_rel = rel
-                    worst = f"{name}[{i}]"
-        return {"max_rel_err": max_rel, "worst_param": worst, "n_checked": n_checked}
-    finally:
-        for d, flag in zip(dropouts, saved_flags):
-            d.cache_mask = flag
-            d._mask = None
+    max_rel = 0.0
+    worst = ""
+    n_checked = 0
+    for name, p in net.named_params().items():
+        flat = p.reshape(-1)
+        n_take = min(max_entries, flat.size)
+        idx = rng.choice(flat.size, size=n_take, replace=False)
+        for i in idx:
+            orig = flat[i]
+            flat[i] = orig + h
+            lp = float(loss_fn(forward())[0])
+            flat[i] = orig - h
+            lm = float(loss_fn(forward())[0])
+            flat[i] = orig
+            fd = (lp - lm) / (2 * h)
+            an = float(analytic[name].reshape(-1)[i])
+            rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
+            n_checked += 1
+            if rel > max_rel:
+                max_rel = rel
+                worst = f"{name}[{i}]"
+    return {"max_rel_err": max_rel, "worst_param": worst, "n_checked": n_checked}

@@ -9,8 +9,9 @@ activations of one row chunk, and a backward after it raises instead of
 differentiating the last training batch. Parameters live in ``self.params``,
 non-trained buffers (BatchNorm running stats) in ``self.state``. In a
 Network, ``params`` and ``grads`` are views into its flat buffers, written in
-place and never rebound. ``config()`` + ``from_config()`` round-trip a layer
-through the checkpoint format.
+place and never rebound. Layers are built float32; ``astype`` casts one
+(float64 for gradient checks). ``config()`` + ``from_config()`` rebuild a
+layer for the checkpoint format, with zero weights for the checkpoint to fill.
 """
 from __future__ import annotations
 
@@ -33,9 +34,12 @@ def layer_from_config(kind: str, cfg: dict):
     return _REGISTRY[kind].from_config(cfg)
 
 
-def _fan_in_uniform(rng: np.random.Generator, shape, fan_in: int, dtype):
+def _fan_in_uniform(rng: np.random.Generator | None, shape, fan_in: int):
+    """Fan-in uniform float32 weights; zeros without an rng (checkpoint loads)."""
+    if rng is None:
+        return np.zeros(shape, np.float32)
     limit = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 class Layer:
@@ -45,7 +49,6 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.state: dict[str, np.ndarray] = {}
-        self.dtype = np.float32
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
@@ -83,7 +86,6 @@ class Layer:
         return cls(**cfg)
 
     def astype(self, dtype):
-        self.dtype = dtype
         self._init_params(**{k: v.astype(dtype) for k, v in self.params.items()})
         self.state = {k: v.astype(dtype) for k, v in self.state.items()}
         return self
@@ -100,17 +102,15 @@ class Conv1D(Layer):
     kind = "conv1d"
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int = 3,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
-        self.dtype = dtype
-        rng = rng if rng is not None else np.random.default_rng(0)
-        fan_in = kernel * in_channels
         self._init_params(
-            w=_fan_in_uniform(rng, (kernel, in_channels, out_channels), fan_in, dtype),
-            b=np.zeros(out_channels, dtype=dtype))
+            w=_fan_in_uniform(rng, (kernel, in_channels, out_channels),
+                              kernel * in_channels),
+            b=np.zeros(out_channels, np.float32))
 
     def forward(self, x, train=False):
         k = self.kernel
@@ -218,19 +218,15 @@ class BatchNorm1D(Layer):
 
     kind = "batchnorm1d"
 
-    def __init__(self, channels: int, momentum: float = 0.99, eps: float = 1e-5,
-                 dtype=np.float32):
+    def __init__(self, channels: int, momentum: float = 0.99, eps: float = 1e-5):
         super().__init__()
         self.channels = channels
         self.momentum = momentum
         self.eps = eps
-        self.dtype = dtype
-        self._init_params(gamma=np.ones(channels, dtype=dtype),
-                          beta=np.zeros(channels, dtype=dtype))
-        self.state = {
-            "running_mean": np.zeros(channels, dtype=dtype),
-            "running_var": np.ones(channels, dtype=dtype),
-        }
+        self._init_params(gamma=np.ones(channels, np.float32),
+                          beta=np.zeros(channels, np.float32))
+        self.state = {"running_mean": np.zeros(channels, np.float32),
+                      "running_var": np.ones(channels, np.float32)}
 
     def forward(self, x, train=False):
         axes = tuple(range(x.ndim - 1))
@@ -281,15 +277,13 @@ class Dense(Layer):
     kind = "dense"
 
     def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.dtype = dtype
-        rng = rng if rng is not None else np.random.default_rng(0)
         self._init_params(
-            w=_fan_in_uniform(rng, (in_features, out_features), in_features, dtype),
-            b=np.zeros(out_features, dtype=dtype))
+            w=_fan_in_uniform(rng, (in_features, out_features), in_features),
+            b=np.zeros(out_features, np.float32))
 
     def forward(self, x, train=False):
         self._cache = x if train else None
@@ -306,13 +300,13 @@ class Dense(Layer):
 
 @register
 class Activation(Layer):
-    """Elementwise nonlinearity: relu, selu, softmax (last axis) or linear."""
+    """Elementwise nonlinearity: relu, selu or softmax (last axis)."""
 
     kind = "activation"
 
     def __init__(self, fn: str = "relu"):
         super().__init__()
-        if fn not in ("relu", "selu", "softmax", "linear"):
+        if fn not in ("relu", "selu", "softmax"):
             raise ValueError(f"unknown activation {fn!r}")
         self.fn = fn
 
@@ -323,17 +317,13 @@ class Activation(Layer):
         if self.fn == "selu":
             self._cache = x if train else None
             return SELU_LAMBDA * np.where(x > 0, x, SELU_ALPHA * np.expm1(x))
-        if self.fn == "softmax":
-            z = x - x.max(axis=-1, keepdims=True)
-            e = np.exp(z)
-            p = e / e.sum(axis=-1, keepdims=True)
-            self._cache = p if train else None
-            return p
-        return x
+        z = x - x.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        p = e / e.sum(axis=-1, keepdims=True)
+        self._cache = p if train else None
+        return p
 
     def backward(self, dy):
-        if self.fn == "linear":
-            return dy
         if self.fn == "relu":
             return dy * self._saved()  # the mask x > 0
         if self.fn == "selu":
@@ -348,11 +338,7 @@ class Activation(Layer):
 
 @register
 class Dropout(Layer):
-    """Inverted dropout; identity at inference. Mask drawn from its own rng.
-
-    ``cache_mask`` freezes the last drawn mask so finite-difference loss
-    probes see a deterministic function.
-    """
+    """Inverted dropout; identity at inference. Mask drawn from its own rng."""
 
     kind = "dropout"
 
@@ -363,15 +349,13 @@ class Dropout(Layer):
         self.rate = rate
         self.seed = seed
         self.rng = np.random.default_rng(seed)
-        self.cache_mask = False
         self._mask = None
 
     def forward(self, x, train=False):
         if not train or self.rate == 0.0:
             self._mask = None
             return x
-        if not (self.cache_mask and self._mask is not None and self._mask.shape == x.shape):
-            self._mask = (self.rng.random(x.shape) >= self.rate).astype(x.dtype)
+        self._mask = (self.rng.random(x.shape) >= self.rate).astype(x.dtype)
         return x * self._mask / (1.0 - self.rate)
 
     def backward(self, dy):

@@ -89,27 +89,23 @@ class Network:
                 del values[name]
         return values
 
-    def backward(self, out_grads: dict[str, np.ndarray],
-                 input_grad: bool = True) -> np.ndarray | None:
-        """Backpropagates from the given output gradients; returns d loss / d x.
-
-        Nodes that neither receive an entry in out_grads nor feed one that
-        does are skipped (their parameter grads stay zero). With input_grad
-        False the nodes that read the input fill their parameter grads only,
-        and None is returned.
+    def backward(self, out_grads: dict[str, np.ndarray]) -> None:
+        """Backpropagates from the given output gradients into the parameter
+        grads. Nodes that neither receive an entry in out_grads nor feed one
+        that does are skipped (their parameter grads stay zero); the nodes
+        that read the input fill their parameter grads only.
         """
         self._packed()
         acc: dict[str, np.ndarray | None] = {n.name: None for n in self.nodes}
-        acc[INPUT] = None
         for name, g in out_grads.items():
-            if name not in acc or name == INPUT:
+            if name not in acc:
                 raise ValueError(f"unknown output node {name!r}")
             acc[name] = np.array(g, copy=True)
         for node in reversed(self.nodes):
             g = acc.pop(node.name)
             if g is None:
                 continue
-            if node.src == INPUT and not input_grad:
+            if node.src == INPUT:
                 node.layer.backward_params(g)
                 continue
             dsrc = node.layer.backward(g)
@@ -117,12 +113,6 @@ class Network:
                 acc[node.src] = dsrc
             else:
                 acc[node.src] = acc[node.src] + dsrc
-        if not input_grad:
-            return None
-        dx = acc[INPUT]
-        if dx is None:
-            raise ValueError("no gradient reached the network input")
-        return dx
 
     # --- parameter plumbing -------------------------------------------------
 
@@ -150,7 +140,7 @@ class Network:
         self.flat_grads.fill(0)
 
     def astype(self, dtype) -> "Network":
-        """Deep copy with parameters, buffers and layer dtype cast to dtype."""
+        """Deep copy with parameters and buffers cast to dtype."""
         net = copy.deepcopy(self)
         for node in net.nodes:
             node.layer.astype(dtype)

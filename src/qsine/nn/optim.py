@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
     """Bias-corrected Adam over whole networks.
@@ -19,24 +23,19 @@ class Adam:
     per-tensor update.
     """
 
-    def __init__(self, nets, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, nets, lr: float = 1e-3):
         self.nets = list(nets)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(net.flat_params) for net in self.nets]
         self.v = [np.zeros_like(net.flat_params) for net in self.nets]
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1**self.t
-        c2 = 1.0 - b2**self.t
+        c1 = 1.0 - BETA1**self.t
+        c2 = 1.0 - BETA2**self.t
         for net, m, v in zip(self.nets, self.m, self.v):
             p, g = net.flat_params, net.flat_grads
-            m += (1.0 - b1) * (g - m)
-            v += (1.0 - b2) * (g * g - v)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m += (1.0 - BETA1) * (g - m)
+            v += (1.0 - BETA2) * (g * g - v)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)

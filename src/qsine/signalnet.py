@@ -351,7 +351,7 @@ def detection_batch_grads(net: Network, X: np.ndarray, counts: np.ndarray):
     vals = net.forward(X, train=True)
     probs = vals["probs"]
     loss, dprobs = _mean_count_loss(probs, counts)
-    net.backward({"probs": dprobs.astype(probs.dtype)}, input_grad=False)
+    net.backward({"probs": dprobs.astype(probs.dtype)})
     return loss
 
 
@@ -428,7 +428,7 @@ def estimator_batch_grads(est: SinusoidEstimator, X, At, Ft, Pt):
     dP = dP.astype(dtype)
     for k, net in enumerate(est.blocks):
         net.backward({"amp": dA[:, k : k + 1], "freq": dF[:, k : k + 1],
-                      "phase": dP[:, k : k + 1]}, input_grad=False)
+                      "phase": dP[:, k : k + 1]})
     return loss
 
 

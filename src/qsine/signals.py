@@ -426,38 +426,43 @@ def load_dataset(base: str) -> tuple[dict, Dataset]:
     """Reads a dataset file pair; returns (header metadata, dataset).
 
     Sample values have float32 precision (the file's), stored as float64.
+    A malformed labels line raises a ValueError that names the file and the
+    line.
     """
     labels_path = base + ".labels.csv"
     samples_path = base + ".samples.f32"
     with open(labels_path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith(DATASET_MAGIC):
+        lines = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith(DATASET_MAGIC):
         raise ValueError(f"{labels_path}: not a {DATASET_MAGIC} file")
-    meta = {}
-    for part in lines[0].split(",")[1:]:
-        k, v = part.strip().split("=")
-        meta[k.strip()] = int(v)
+    meta, counts, snrs, labels = {}, [], [], []
+    lineno = lines[0][0]
+    try:
+        for part in lines[0][1].split(",")[1:]:
+            k, v = part.strip().split("=")
+            meta[k.strip()] = int(v)
+        if "N" not in meta:
+            raise ValueError("header has no N field")
+        for lineno, row in lines[1:]:
+            cells = row.split(",")
+            m = int(cells[1])
+            vals = [float(c) for c in cells[3:]]
+            if len(vals) != 3 * m:
+                raise ValueError(f"label row has {len(vals)} values, expected {3 * m}")
+            counts.append(m)
+            snrs.append(float(cells[2]))
+            labels.append(vals)
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"{labels_path}:{lineno}: {exc}") from exc
     N = meta["N"]
     raw = np.fromfile(samples_path, dtype="<f4")
     if raw.size % (N * 2) != 0:
         raise ValueError(f"{samples_path}: size not a multiple of N*2 floats")
     frames = raw.reshape(-1, N, 2)
-    records = lines[1:]
-    if len(records) != len(frames):
-        raise ValueError(
-            f"label rows ({len(records)}) and sample frames ({len(frames)}) disagree"
-        )
-    counts, snrs, labels = [], [], []
-    for row in records:
-        cells = row.split(",")
-        m = int(cells[1])
-        vals = [float(c) for c in cells[3:]]
-        if len(vals) != 3 * m:
-            raise ValueError(f"label row has {len(vals)} values, expected {3 * m}")
-        counts.append(m)
-        snrs.append(float(cells[2]))
-        labels.append(vals)
-    n, width = len(records), max(counts, default=0)
+    if len(counts) != len(frames):
+        raise ValueError(f"{labels_path} has {len(counts)} label rows, "
+                         f"{samples_path} {len(frames)} frames")
+    n, width = len(counts), max(counts, default=0)
     amps, freqs, phases = (np.full((n, width), np.nan) for _ in range(3))
     for i, (m, vals) in enumerate(zip(counts, labels)):
         amps[i, :m] = vals[:m]

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import platform
+import re
 import resource
 import shutil
 import subprocess
@@ -293,6 +294,139 @@ class TestExitCodes:
     def test_version_exits_zero(self, capsys):
         code, out, _ = _run(capsys, ["--version"])
         assert code == 0
+
+
+# --------------------------------------------------------------------------
+# inputs that disagree with the flags, and malformed inputs: exit 2 with a
+# message that names the file and the field
+# --------------------------------------------------------------------------
+
+def _no_cell(*args, **kwargs):
+    raise AssertionError("a cell was drawn")
+
+
+def _untrained_chain(path, m=2):
+    signalnet.save_estimator(signalnet.build_estimator(m), path, bits=3)
+    return str(path)
+
+
+def _untrained_bundle(path):
+    model = signalnet.SignalNetModel(
+        detection=signalnet.build_detection_network(M=1),
+        estimators={1: signalnet.build_estimator(1)}, M=1)
+    signalnet.save_signalnet(model, path)
+    return str(path)
+
+
+class TestInputsMatchTheFlags:
+    @pytest.mark.parametrize("gen_flags, message", [
+        (["--bits", "1", "--frame-len", "32"], "N=32 does not match --frame-len 64"),
+        (["--bits", "1"], "bits=1 does not match --bits 3"),
+        (["--m-max", "3"], "M=3 does not match --m-max 5"),
+    ])
+    def test_train_data_header(self, capsys, tmp_path, gen_flags, message):
+        base = str(tmp_path / "ds")
+        assert _run(capsys, ["generate", "--out", base, "--count", "20",
+                             "--seed", "4", *gen_flags])[0] == 0
+        ckpt = tmp_path / "det.ckpt"
+        code, _, err = _run(capsys, ["train", "--task", "detection", "--data", base,
+                                     "--epochs", "1", "--out", str(ckpt)])
+        assert code == 2
+        assert f"{base}.labels.csv: {message}" in err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--bits", "1"], "bits=3 does not match --bits 1"),
+        (["--frame-len", "32"], "N=64 does not match --frame-len 32"),
+    ])
+    def test_ood_chain(self, capsys, tmp_path, monkeypatch, flags, message):
+        monkeypatch.setattr(harness, "_cell_examples", _no_cell)
+        ckpt = _untrained_chain(tmp_path / "est.ckpt")
+        out = tmp_path / "o.csv"
+        code, _, err = _run(capsys, ["ood", "--m", "2", "--est-ckpt", ckpt,
+                                     "--out", str(out), *flags])
+        assert code == 2
+        assert f"{ckpt}: {message}" in err
+        assert not out.exists()
+
+    def test_eval_bundle_frame_len(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_cell_examples", _no_cell)
+        bundle = _untrained_bundle(tmp_path / "bundle")
+        out = tmp_path / "e.csv"
+        code, _, err = _run(capsys, ["eval", "--bundle", bundle, "--frame-len", "32",
+                                     "--m-max", "1", "--bits", "3",
+                                     "--algorithms", "nn_est", "--out", str(out)])
+        assert code == 2
+        assert f"{bundle}: N=64 does not match --frame-len 32" in err
+        assert not out.exists()
+
+
+def _damage(path: Path, how: str) -> None:
+    data = path.read_bytes()
+    if how == "truncated payload":
+        data = data[:-100]
+    elif how == "truncated header":
+        data = data[:6]
+    else:  # a manifest that is not JSON
+        data = data[:12] + b"!" + data[13:]
+    path.write_bytes(data)
+
+
+class TestReadErrors:
+    @pytest.mark.parametrize("how, message", [
+        # cutting 100 bytes drops amp.b, amp.w and half of u_fc.b of block 2
+        ("truncated payload", "payload ends inside tensor u_fc.b"),
+        ("truncated header", "unpack_from requires a buffer of at least 12 bytes"),
+        ("bad manifest", "Expecting value"),
+    ])
+    def test_chain_checkpoint(self, capsys, tmp_path, monkeypatch, how, message):
+        monkeypatch.setattr(harness, "_cell_examples", _no_cell)
+        ckpt = tmp_path / "est.ckpt"
+        _untrained_chain(ckpt)
+        _damage(ckpt, how)
+        code, _, err = _run(capsys, ["ood", "--m", "2", "--est-ckpt", str(ckpt),
+                                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"qsine: error: {ckpt}: {message}" in err
+
+    def test_network_checkpoint(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_cell_examples", _no_cell)
+        bundle = _untrained_bundle(tmp_path / "bundle")
+        ckpt = Path(bundle) / "detection.ckpt"
+        _damage(ckpt, "truncated payload")
+        code, _, err = _run(capsys, ["eval", "--bundle", bundle, "--m-max", "1",
+                                     "--bits", "3", "--algorithms", "nn_detect",
+                                     "--out", str(tmp_path / "e.csv")])
+        assert code == 2
+        assert f"qsine: error: {ckpt}: payload ends inside tensor " in err
+
+    @pytest.mark.parametrize("line, row, message", [
+        (1, "qsine-dataset v1, N=x, M=5, bits=3",
+         "invalid literal for int() with base 10: 'x'"),
+        (3, "1,x,10.0,0.5,0.1,0.2", "invalid literal for int() with base 10: 'x'"),
+        (2, "0,1,10.0,0.5", "label row has 1 values, expected 3"),
+        (4, "2", "list index out of range"),
+    ])
+    def test_dataset_labels_line(self, capsys, tmp_path, line, row, message):
+        base = str(tmp_path / "ds")
+        assert _run(capsys, ["generate", "--out", base, "--count", "4",
+                             "--m", "1", "--seed", "4"])[0] == 0
+        labels = Path(base + ".labels.csv")
+        lines = labels.read_text().splitlines()
+        lines[line - 1] = row
+        labels.write_text("\n".join(lines) + "\n")
+        code, _, err = _run(capsys, ["train", "--task", "estimator", "--m", "1",
+                                     "--data", base, "--epochs", "1",
+                                     "--out", str(tmp_path / "e.ckpt")])
+        assert code == 2
+        assert f"qsine: error: {labels}:{line}: {message}" in err
+
+    def test_dataset_line_numbers_count_blank_lines(self, tmp_path):
+        base = str(tmp_path / "ds")
+        labels = Path(base + ".labels.csv")
+        labels.write_text("qsine-dataset v1, N=64, M=5, bits=3\n\n\n1,x\n")
+        with pytest.raises(ValueError, match=re.escape(f"{labels}:4: ")):
+            load_dataset(base)
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 
 from qsine.nn.checkpoint import (
     MAGIC,
+    _pack,
+    _unpack,
     chain_from_bytes,
     chain_to_bytes,
     load_network,
@@ -27,6 +29,7 @@ from qsine.nn.layers import (
 )
 from qsine.nn.network import Network
 from qsine.nn.optim import Adam
+from qsine.signalnet import build_block_network, build_detection_network
 
 
 def _rng(seed=0):
@@ -40,7 +43,7 @@ def _rng(seed=0):
 class TestConv1DForward:
     def test_hand_worked_k3(self):
         # out[t] = w0*x[t-1] + w1*x[t] + w2*x[t+1] with zero edges
-        conv = Conv1D(1, 1, kernel=3, dtype=np.float64)
+        conv = Conv1D(1, 1, kernel=3).astype(np.float64)
         conv.params["w"] = np.array([0.0, 1.0, -1.0]).reshape(3, 1, 1)
         conv.params["b"][:] = 0.0
         x = np.array([1.0, 2.0, 4.0]).reshape(1, 3, 1)
@@ -48,13 +51,13 @@ class TestConv1DForward:
 
     def test_even_kernel_pads_right(self):
         # k=2 splits padding as left=0, right=1: out[t] = w0*x[t] + w1*x[t+1]
-        conv = Conv1D(1, 1, kernel=2, dtype=np.float64)
+        conv = Conv1D(1, 1, kernel=2).astype(np.float64)
         conv.params["w"] = np.array([1.0, -1.0]).reshape(2, 1, 1)
         x = np.array([1.0, 2.0, 4.0]).reshape(1, 3, 1)
         npt.assert_allclose(conv.forward(x)[0, :, 0], [-1.0, -2.0, 4.0])
 
     def test_bias_broadcast(self):
-        conv = Conv1D(1, 2, kernel=3, dtype=np.float64)
+        conv = Conv1D(1, 2, kernel=3).astype(np.float64)
         conv.params["w"][:] = 0.0
         conv.params["b"] = np.array([0.5, -1.5])
         out = conv.forward(np.zeros((2, 4, 1)))
@@ -63,7 +66,7 @@ class TestConv1DForward:
     def test_multichannel_matches_direct_sum(self):
         rng = _rng(1)
         B, L, Cin, Cout, k = 2, 6, 3, 4, 3
-        conv = Conv1D(Cin, Cout, kernel=k, rng=rng, dtype=np.float64)
+        conv = Conv1D(Cin, Cout, kernel=k, rng=rng).astype(np.float64)
         x = rng.normal(size=(B, L, Cin))
         out = conv.forward(x)
         xp = np.pad(x, ((0, 0), (1, 1), (0, 0)))
@@ -122,14 +125,14 @@ class TestMaxPool1DForward:
 
 class TestBatchNorm1DForward:
     def test_train_normalizes_with_biased_variance(self):
-        bn = BatchNorm1D(1, dtype=np.float64)
+        bn = BatchNorm1D(1).astype(np.float64)
         x = np.array([1.0, 2.0, 3.0, 6.0]).reshape(4, 1)
         out = bn.forward(x, train=True)
         mu, var = x.mean(), x.var()  # biased
         npt.assert_allclose(out, (x - mu) / np.sqrt(var + 1e-5), rtol=1e-12)
 
     def test_running_stats_update(self):
-        bn = BatchNorm1D(1, momentum=0.9, dtype=np.float64)
+        bn = BatchNorm1D(1, momentum=0.9).astype(np.float64)
         x = np.array([1.0, 3.0]).reshape(2, 1)
         bn.forward(x, train=True)
         npt.assert_allclose(bn.state["running_mean"], [0.9 * 0.0 + 0.1 * 2.0])
@@ -143,14 +146,14 @@ class TestBatchNorm1DForward:
         npt.assert_array_equal(bn.state["running_var"], x.var(axis=(0, 1)))
 
     def test_eval_uses_running_stats(self):
-        bn = BatchNorm1D(1, dtype=np.float64)
+        bn = BatchNorm1D(1).astype(np.float64)
         bn.state["running_mean"][:] = 5.0
         bn.state["running_var"][:] = 4.0
         out = bn.forward(np.array([[7.0]]), train=False)
         npt.assert_allclose(out, [[2.0 / np.sqrt(4.0 + 1e-5)]])
 
     def test_gamma_beta_applied(self):
-        bn = BatchNorm1D(2, dtype=np.float64)
+        bn = BatchNorm1D(2).astype(np.float64)
         bn.params["gamma"] = np.array([2.0, 1.0])
         bn.params["beta"] = np.array([0.0, 10.0])
         x = _rng(3).normal(size=(8, 2))
@@ -159,7 +162,7 @@ class TestBatchNorm1DForward:
         npt.assert_allclose(out, xhat * [2.0, 1.0] + [0.0, 10.0], rtol=1e-12)
 
     def test_three_axis_input_normalizes_per_channel(self):
-        bn = BatchNorm1D(3, dtype=np.float64)
+        bn = BatchNorm1D(3).astype(np.float64)
         x = _rng(4).normal(size=(4, 5, 3))
         out = bn.forward(x, train=True)
         npt.assert_allclose(out.mean(axis=(0, 1)), 0.0, atol=1e-12)
@@ -221,14 +224,6 @@ class TestDropout:
         x = _rng(0).normal(size=(8, 8))
         a = Dropout(0.3, seed=9).forward(x, train=True)
         b = Dropout(0.3, seed=9).forward(x, train=True)
-        npt.assert_array_equal(a, b)
-
-    def test_cache_mask_freezes(self):
-        d = Dropout(0.5, seed=3)
-        d.cache_mask = True
-        x = np.ones((16, 16))
-        a = d.forward(x, train=True)
-        b = d.forward(x, train=True)
         npt.assert_array_equal(a, b)
 
     def test_rate_validation(self):
@@ -315,9 +310,9 @@ class TestNetwork:
         rng = _rng(7)
         net = Network()
         net.add("flat", Flatten(), "x")
-        net.add("trunk", Dense(4, 3, rng=rng, dtype=np.float64), "flat")
-        net.add("h1", Dense(3, 2, rng=rng, dtype=np.float64), "trunk")
-        net.add("h2", Dense(3, 2, rng=rng, dtype=np.float64), "trunk")
+        net.add("trunk", Dense(4, 3, rng=rng).astype(np.float64), "flat")
+        net.add("h1", Dense(3, 2, rng=rng).astype(np.float64), "trunk")
+        net.add("h2", Dense(3, 2, rng=rng).astype(np.float64), "trunk")
         net.pack()
         x = rng.normal(size=(5, 4, 1))
         net.zero_grads()
@@ -374,25 +369,6 @@ class TestNetwork:
         net.pack()
         assert net.flat_params.size == 3 * 2 + 2 + 2 * 1 + 1
         assert sorted(net.forward(x)) == ["out"]
-
-    def test_backward_without_input_grad(self):
-        rng = _rng(9)
-        net = Network()
-        net.add("conv", Conv1D(2, 4, 3, rng=rng), "x")
-        net.add("flat", Flatten(), "conv")
-        net.add("fc", Dense(32, 1, rng=rng), "flat")
-        net.pack()
-        x = rng.normal(size=(3, 8, 2)).astype(np.float32)
-        dout = np.ones((3, 1), np.float32)
-        net.zero_grads()
-        net.forward(x, train=True)
-        assert net.backward({"fc": dout}).shape == x.shape
-        full = {k: v.copy() for k, v in net.named_grads().items()}
-        net.zero_grads()
-        net.forward(x, train=True)
-        assert net.backward({"fc": dout}, input_grad=False) is None
-        for name, g in net.named_grads().items():
-            npt.assert_array_equal(g, full[name], err_msg=name)
 
     def test_duplicate_and_unknown_names_rejected(self):
         net = Network()
@@ -554,7 +530,7 @@ def _reference_adam_step(p, g, state, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
 
 def _dense_net(n_in, n_out, seed, dtype=np.float64):
     net = Network()
-    net.add("fc", Dense(n_in, n_out, rng=_rng(seed), dtype=dtype), "x")
+    net.add("fc", Dense(n_in, n_out, rng=_rng(seed)).astype(dtype), "x")
     net.pack()
     return net
 
@@ -664,6 +640,39 @@ class TestCheckpoint:
         got = loaded.forward(x, train=False)["out"]
         npt.assert_allclose(got, want, rtol=1e-6)
         assert meta == {"tag": 7}
+
+    @pytest.mark.parametrize("build", [build_detection_network, build_block_network])
+    def test_shipped_networks_reserialize_byte_identical(self, build):
+        net = build(seed=5)
+        # a training forward moves the BatchNorm running stats off init
+        net.forward(_rng(1).normal(size=(4, 64, 2)).astype(np.float32), train=True)
+        blob = network_to_bytes(net, {"N": 64})
+        loaded, meta = network_from_bytes(blob)
+        assert network_to_bytes(loaded, meta) == blob
+        assert loaded.flat_params.tobytes() == net.flat_params.tobytes()
+        for node in loaded.nodes:
+            for key, val in node.layer.params.items():
+                assert np.shares_memory(val, loaded.flat_params), (node.name, key)
+
+    def test_shape_mismatch_raises(self):
+        # a rebuilt fc1 of another width must not take the checkpoint's weights
+        manifest, payload = _unpack(network_to_bytes(build_detection_network()))
+        fc1 = next(n for n in manifest["nodes"] if n["name"] == "fc1")
+        fc1["config"]["in_features"] = 256
+        with pytest.raises(ValueError, match=r"tensor fc1.w has shape \[512, 128\], "
+                                             r"the rebuilt layer \[256, 128\]"):
+            network_from_bytes(_pack(manifest, payload))
+
+    def test_truncated_payload_names_the_tensor(self):
+        blob = network_to_bytes(_small_net())
+        with pytest.raises(ValueError, match="payload ends inside tensor out.w"):
+            network_from_bytes(blob[:-12])
+
+    def test_layers_without_rng_start_at_zero(self):
+        # a checkpoint load rebuilds layers without drawing any weights
+        for layer in (Conv1D(2, 3, 3), Dense(4, 5)):
+            for val in layer.params.values():
+                assert val.dtype == np.float32 and not val.any()
 
     def test_serialization_is_deterministic(self):
         net = _small_net()

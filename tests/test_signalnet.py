@@ -362,7 +362,7 @@ class TestTrainingGradients:
         ref.zero_grads()
         probs = ref.forward(X, train=True)["probs"]
         want_loss, dprobs = _mean_count_loss(probs, counts)
-        ref.backward({"probs": dprobs.astype(np.float32)}, input_grad=False)
+        ref.backward({"probs": dprobs.astype(np.float32)})
         want = ref.named_grads()
 
         assert loss == want_loss

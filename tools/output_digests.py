@@ -8,7 +8,8 @@ Runs `generate`, a tiny `train --task detection`, `--task estimator` and
 validation rows), `eval` of aic,mdl and of periodogram,aic_periodogram at
 bits 1 and 3, `eval` of nn_est,nn_detect,signalnet on the bundle at 100 and
 300 frames a cell, `ood` on the trained estimator at 100 and 321 frames a
-cell and `thresholds`, each as `python3 -m qsine.harness` with the checkout's
+cell, the same bundle, `eval` and `ood` at `--frame-len 32`, and
+`thresholds`, each as `python3 -m qsine.harness` with the checkout's
 `src` first on PYTHONPATH, into a temporary directory. Prints one
 `<sha256>  <file>` line per output, sorted by name, and for each `*.ckpt`
 one more `<sha256>  <file>#payload` line over the tensor bytes after the
@@ -57,6 +58,15 @@ def script(out: Path) -> list[list[str]]:
         *(["ood", "--est-ckpt", out / "est_m2.ckpt", "--m", "2", "--bits", "3", "--n", n, *SNR,
            "--seed", "15", "--out", out / name] for n, name in (("100", "ood.csv"),
                                                               ("321", "ood_n321.csv"))),
+        # a frame length other than the default
+        ["train", "--task", "bundle", "--frame-len", "32", "--m-max", "2", *TRAIN,
+         "--out", out / "bundle_n32"],
+        ["eval", "--bundle", out / "bundle_n32", "--frame-len", "32", "--m-max", "2",
+         "--bits", "3", "--algorithms", "nn_est,nn_detect,signalnet", "--n", "100", *SNR,
+         "--seed", "16", "--out", out / "eval_nn_n32.csv"],
+        ["ood", "--est-ckpt", out / "bundle_n32" / "est_m2.ckpt", "--frame-len", "32",
+         "--m", "2", "--bits", "3", "--n", "100", *SNR, "--seed", "15",
+         "--out", out / "ood_n32.csv"],
         ["thresholds", "--out", out / "thresholds.csv"],
     ]
 
