@@ -1,9 +1,10 @@
 """Classical baselines: periodogram parameter estimation and AIC/MDL counting.
 
-Both operate on the Bussgang-linearized frame (pass qspec=None for already
-unquantized data). Frequency/amplitude/phase come from peaks of a zero-padded
-DFT; the sinusoid count from eigenvalue information criteria on a sliding-
-window sample covariance.
+Both take (N, 2) IQ frames and operate on the Bussgang-linearized complex
+frame (pass qspec=None for already unquantized data).
+Frequency/amplitude/phase come from peaks of a zero-padded DFT; the sinusoid
+count from eigenvalue information criteria on a sliding-window sample
+covariance.
 
 Each method has one implementation, which scores a stack of frames:
 `periodogram_estimates` and `aic_mdl_counts`. `classical_estimate` and
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantize import Quantizer, bussgang_linearize
-from .signals import TWO_PI, ParameterSet, from_iq
+from .signals import TWO_PI, ParameterSet
 
 DEFAULT_NFFT = 2**16
 EIG_CHUNK = 32  # frames per stacked eigvalsh call; 64 raised peak RSS by 1 MB
@@ -53,19 +54,16 @@ def check_window(L: int, Mmax: int, N: int) -> None:
 
 
 def _complex_frames(X: np.ndarray, qspec: Quantizer | None) -> np.ndarray:
-    """(B, N) complex frames from a (B, N, 2) IQ stack or a (B, N) complex
-    stack, Bussgang-linearized when qspec is given."""
+    """(B, N) complex frames from a (B, N, 2) IQ stack, Bussgang-linearized
+    when qspec is given."""
     X = np.asarray(X)
-    if np.iscomplexobj(X):
-        flat = X.reshape(-1)
-    else:
-        if X.ndim != 3 or X.shape[2] != 2:
-            raise ValueError(f"expected a (B, N, 2) IQ stack, got shape {X.shape}")
-        flat = X.reshape(-1, 2)
+    if X.ndim != 3 or X.shape[2] != 2:
+        raise ValueError(f"expected a (B, N, 2) IQ stack, got shape {X.shape}")
+    flat = X.reshape(-1, 2)
     if qspec is not None:
         z = bussgang_linearize(flat, qspec)
     else:
-        z = flat if np.iscomplexobj(flat) else from_iq(flat)
+        z = flat[:, 0] + 1j * flat[:, 1]
     return z.reshape(len(X), -1)
 
 
@@ -144,7 +142,7 @@ def periodogram_estimates(
     a = |r[p]|/N, phi = angle(r[p]) wrapped to [0, 2*pi).
 
     Args:
-        X: (B, N, 2) IQ stack or (B, N) complex stack.
+        X: (B, N, 2) IQ stack.
         counts: sinusoids per frame, an int or a length-B vector.
         qspec: quantizer used on X, or None if X is unquantized.
         nfft: DFT length, a power of two >= N.
@@ -176,8 +174,8 @@ def classical_estimate(
     qspec: Quantizer | None = None,
     nfft: int = DEFAULT_NFFT,
 ) -> ParameterSet:
-    """Periodogram estimate of m sinusoids from one IQ matrix or complex
-    frame (see `periodogram_estimates`), sorted ascending in frequency."""
+    """Periodogram estimate of m sinusoids from one (N, 2) IQ matrix (see
+    `periodogram_estimates`), sorted ascending in frequency."""
     amps, freqs, phases = periodogram_estimates(np.asarray(x)[None], m, qspec, nfft)
     return ParameterSet(m=m, amps=amps[0], freqs=freqs[0], phases=phases[0])
 
@@ -202,7 +200,7 @@ def aic_mdl_counts(
     eigendecomposition per frame, computed EIG_CHUNK frames per call.
 
     Args:
-        X: (B, N, 2) IQ stack or (B, N) complex stack.
+        X: (B, N, 2) IQ stack.
         qspec: quantizer used on X, for Bussgang linearization; None if X is
             unquantized.
         L: subvector length (1 <= L <= N/2).
@@ -246,8 +244,8 @@ def aic_mdl_detect(
     L: int = 16,
     Mmax: int = 5,
 ) -> int:
-    """AIC or MDL count of one IQ matrix or complex frame (criterion "aic" or
-    "mdl"; see `aic_mdl_counts` for the other arguments)."""
+    """AIC or MDL count of one (N, 2) IQ matrix (criterion "aic" or "mdl";
+    see `aic_mdl_counts` for the other arguments)."""
     crit = criterion.lower()
     if crit not in ("aic", "mdl"):
         raise ValueError(f"criterion must be 'aic' or 'mdl', got {criterion!r}")

@@ -73,6 +73,9 @@ from .thresholds import (
 EVAL_HEADER = ["algorithm", "bits", "m", "snr_db", "metric", "value",
                "n_trials", "seed"]
 OOD_HEADER = EVAL_HEADER + ["freq_mode"]
+# spellings of `generate --freq-mode` and of the `ood` CSV's freq_mode column,
+# each with its GenConfig.freq_mode
+FREQ_MODES = {"in_dist": "in_distribution", "ood": "ood_uniform"}
 ALL_ALGORITHMS = ["nn_detect", "nn_est", "signalnet", "periodogram", "aic",
                   "mdl", "aic_periodogram"]
 CLASSICAL_ALGORITHMS = ["periodogram", "aic", "mdl", "aic_periodogram"]
@@ -202,14 +205,6 @@ def _cell_str(v) -> str:
     return str(v)
 
 
-def _freq_mode(name: str) -> str:
-    mapping = {"in_dist": "in_distribution", "in_distribution": "in_distribution",
-               "ood": "ood_uniform", "ood_uniform": "ood_uniform"}
-    if name not in mapping:
-        raise ValueError(f"unknown freq mode {name!r}")
-    return mapping[name]
-
-
 def _db(value: float) -> float:
     return 10.0 * math.log10(max(value, 1e-300))
 
@@ -276,7 +271,7 @@ def _map_cells(cells: list[tuple]) -> list:
 def cmd_generate(args) -> int:
     cfg = GenConfig(
         N=args.frame_len, M=args.m_max, bits=args.bits_int, seed=args.seed,
-        m_fixed=args.m, freq_mode=_freq_mode(args.freq_mode),
+        m_fixed=args.m, freq_mode=FREQ_MODES[args.freq_mode],
         snr_db=args.snr,
         snr_range=(args.snr_min, args.snr_max) if args.snr_spread else None,
     )
@@ -581,8 +576,7 @@ def cmd_ood(args) -> int:
                                       "bits": ("--bits", args.bits_int)})
     cells = [(_ood_cell, (args, est, snr, mode, tag_name))
              for snr in _snr_grid(args)
-             for mode, tag_name in (("in_distribution", "in_dist"),
-                                    ("ood_uniform", "ood"))]
+             for tag_name, mode in FREQ_MODES.items()]
     rows = [row for cell_rows in _map_cells(cells) for row in cell_rows]
     rows.sort(key=lambda r: (r[0], r[1], str(r[2]), r[3], r[4], r[8]))
     _write_csv(args.out, OOD_HEADER, rows)
@@ -661,7 +655,7 @@ def build_parser() -> _Parser:
     g.add_argument("--snr-spread", default="false", choices=["true", "false"],
                    help="draw per-example SNR uniform in [snr-min, snr-max]")
     g.add_argument("--freq-mode", default="in_dist",
-                   choices=["in_dist", "ood", "in_distribution", "ood_uniform"])
+                   choices=list(FREQ_MODES))
     g.set_defaults(func=cmd_generate)
 
     t = sub.add_parser("train", help="train models")

@@ -37,21 +37,11 @@ def detection_loss(m, mhat):
     return out
 
 
-def chamfer(f: np.ndarray, fhat: np.ndarray) -> float:
-    """Symmetric nearest-neighbor distance between two value sets.
-
-    sum_i min_k |f_i - fhat_k| + sum_i min_k |fhat_i - f_k|. Both sides must
-    be nonempty.
-    """
-    f = np.atleast_1d(np.asarray(f, dtype=np.float64))
-    fhat = np.atleast_1d(np.asarray(fhat, dtype=np.float64))
-    return float(_chamfer_rows(f[None], fhat[None])[0])
-
-
 def _chamfer_rows(F: np.ndarray, Fhat: np.ndarray) -> np.ndarray:
-    # chamfer() of each row pair of (B, m) and (B, k) arrays -> (B,). Each
-    # row's sums run along a contiguous last axis, as the 1-D sums do, so
-    # every row gives the bits of its own chamfer() call.
+    # Chamfer distance of each row pair of (B, m) and (B, k) arrays -> (B,):
+    # sum_i min_k |f_i - fhat_k| + sum_i min_k |fhat_i - f_k|. Each row's
+    # sums run along a contiguous last axis, so a row gives the same bits
+    # alone as inside any batch.
     if F.shape[1] == 0 or Fhat.shape[1] == 0:
         raise ValueError("chamfer requires nonempty vectors on both sides")
     d = np.abs(F[:, :, None] - Fhat[:, None, :])

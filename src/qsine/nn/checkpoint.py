@@ -12,7 +12,9 @@ A "network" manifest lists nodes (name / kind / config / src) and tensors
 (node, key, kind param|state, shape). A "chain" manifest lists the byte
 length of each embedded network blob; the payload is their concatenation.
 Identical models serialize to identical bytes. Loading rebuilds the network
-with zero weights, packs it once and copies each tensor into its place.
+with zero weights, packs it once and copies each tensor into its place; the
+manifest must list every tensor of the rebuilt network, and the payload must
+end where the last tensor does.
 """
 from __future__ import annotations
 
@@ -69,6 +71,11 @@ def network_from_bytes(data: bytes) -> tuple[Network, dict]:
     for spec in manifest["nodes"]:
         net.add(spec["name"], layer_from_config(spec["kind"], spec["config"]), spec["src"])
     net.pack()
+    listed = {(t["node"], t["key"]) for t in manifest["tensors"]}
+    for n in net.nodes:
+        for key in (*n.layer.params, *n.layer.state):
+            if (n.name, key) not in listed:
+                raise ValueError(f"tensor {n.name}.{key} missing from the manifest")
     offset = 0
     for t in manifest["tensors"]:
         layer = net.get_layer(t["node"])
@@ -84,6 +91,8 @@ def network_from_bytes(data: bytes) -> tuple[Network, dict]:
             raise ValueError(f"payload ends inside {name}")
         dst[...] = np.frombuffer(payload, "<f4", dst.size, offset).reshape(dst.shape)
         offset += dst.nbytes
+    if offset != len(payload):
+        raise ValueError(f"payload has {len(payload) - offset} bytes after the last tensor")
     return net, manifest["meta"]
 
 

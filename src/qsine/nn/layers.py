@@ -156,7 +156,8 @@ class Conv1D(Layer):
 
 @register
 class MaxPool1D(Layer):
-    """Non-overlapping max pooling along the length axis (pads -inf if needed)."""
+    """Non-overlapping max pooling along the length axis; the pool size must
+    divide the length."""
 
     kind = "maxpool1d"
 
@@ -167,11 +168,9 @@ class MaxPool1D(Layer):
     def forward(self, x, train=False):
         B, L, C = x.shape
         s = self.size
-        Lp = -(-L // s) * s
-        if Lp != L:
-            pad = np.full((B, Lp - L, C), -np.inf, dtype=x.dtype)
-            x = np.concatenate([x, pad], axis=1)
-        win = x.reshape(B, Lp // s, s, C)
+        if L % s:
+            raise ValueError(f"maxpool size {s} does not divide length {L}")
+        win = x.reshape(B, L // s, s, C)
         # running maximum over the window; in training, takes[j-1] marks
         # where slot j beat every earlier slot, so the gradient goes to the
         # first maximum (np.argmax's choice for NaN-free input)
@@ -182,14 +181,14 @@ class MaxPool1D(Layer):
             if train:
                 takes.append(cand > out)
             out = np.maximum(out, cand)
-        self._cache = (takes, L, x.shape) if train else None
+        self._cache = (takes, x.shape) if train else None
         return out.copy() if s == 1 else out
 
     def backward(self, dy):
-        takes, in_len, padded_shape = self._saved()
-        B, Lp, C = padded_shape
+        takes, shape = self._saved()
+        B, L, C = shape
         s = self.size
-        dxp = np.empty(padded_shape, dtype=dy.dtype).reshape(B, Lp // s, s, C)
+        dxp = np.empty(shape, dtype=dy.dtype).reshape(B, L // s, s, C)
         # slot j holds the maximum where it was taken and no later slot was
         later = None
         for j in range(s - 1, 0, -1):
@@ -201,7 +200,7 @@ class MaxPool1D(Layer):
             dxp[:, :, 0, :] = dy
         else:
             np.multiply(dy, ~later, out=dxp[:, :, 0, :])
-        return dxp.reshape(B, Lp, C)[:, :in_len, :]
+        return dxp.reshape(shape)
 
     def config(self):
         return {"size": self.size}

@@ -88,18 +88,14 @@ def bussgang_gain(spec: Quantizer, sigma: float) -> float:
 
 
 def bussgang_linearize(x: np.ndarray, spec: Quantizer) -> np.ndarray:
-    """Undoes the Bussgang gain: returns (X[:,0] + j X[:,1]) / G.
+    """Undoes the Bussgang gain of an (N, 2) IQ matrix X: returns the complex
+    frame (X[:,0] + j X[:,1]) / G.
 
     Assumes the pre-quantization frame was unit-power normalized, so the
-    per-component standard deviation is 1/sqrt(2). Accepts an (N, 2) IQ
-    matrix or a complex frame.
+    per-component standard deviation is 1/sqrt(2).
     """
     x = np.asarray(x)
-    if np.iscomplexobj(x):
-        z = x
-    else:
-        if x.ndim != 2 or x.shape[1] != 2:
-            raise ValueError(f"expected an (N, 2) IQ matrix, got shape {x.shape}")
-        z = x[:, 0] + 1j * x[:, 1]
+    if x.ndim != 2 or x.shape[1] != 2:
+        raise ValueError(f"expected an (N, 2) IQ matrix, got shape {x.shape}")
     gain = bussgang_gain(spec, SIGMA_NORMALIZED)
-    return z / gain
+    return (x[:, 0] + 1j * x[:, 1]) / gain

@@ -156,9 +156,6 @@ def build_block_network(N: int = 64, seed: int = 0, tag: int = 0) -> Network:
     return net
 
 
-HEADS = ("amp", "freq", "phase")
-
-
 @dataclass
 class SinusoidEstimator:
     """Residual chain of block networks; block k handles sinusoid k."""
@@ -527,30 +524,34 @@ def save_signalnet(model: SignalNetModel, out_dir) -> Path:
 
 
 def load_signalnet(path) -> SignalNetModel:
-    """Loads a bundle from its manifest (or the directory containing it)."""
+    """Loads a bundle from its manifest (or the directory containing it). A
+    manifest that does not parse or lacks a field is an error naming it."""
     p = Path(path)
     if p.is_dir():
         p = p / "signalnet.json"
-    manifest = json.loads(p.read_text())
-    base = p.parent
-    detection, _ = load_network(base / manifest["detection"])
-    estimators = {}
-    for m_str, name in manifest["estimators"].items():
-        blocks, meta = load_chain(base / name)
-        estimators[int(m_str)] = SinusoidEstimator(
-            blocks=blocks, N=meta.get("N", manifest["N"]))
+    try:
+        manifest = json.loads(p.read_text())
+        N, M, bits = manifest["N"], manifest["M"], manifest["bits"]
+        detection_name = manifest["detection"]
+        chains = {int(m): name for m, name in manifest["estimators"].items()}
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{p}: {what}") from exc
+    detection, _ = load_network(p.parent / detection_name)
+    estimators = {m: load_estimator(p.parent / name)[0]
+                  for m, name in chains.items()}
     return SignalNetModel(detection=detection, estimators=estimators,
-                          N=manifest["N"], M=manifest["M"],
-                          bits=manifest["bits"])
+                          N=N, M=M, bits=bits)
 
 
 def load_estimator(path) -> tuple[SinusoidEstimator, dict]:
-    """Loads a single chain checkpoint written by save_chain. Meta keys that
-    nothing reads, such as the residual rule older chains recorded, come
-    back in meta unread."""
+    """Loads a single chain checkpoint written by save_chain; its meta must
+    record N. Meta keys that nothing reads, such as the residual rule older
+    chains recorded, come back in meta unread."""
     blocks, meta = load_chain(path)
-    est = SinusoidEstimator(blocks=blocks, N=int(meta.get("N", 64)))
-    return est, meta
+    if "N" not in meta:
+        raise ValueError(f"{path}: chain meta has no N")
+    return SinusoidEstimator(blocks=blocks, N=int(meta["N"])), meta
 
 
 def save_estimator(est: SinusoidEstimator, path, bits: int):

@@ -4,21 +4,18 @@ A frame is N complex baseband samples
 
     u[n] = sum_i a_i * exp(j*(2*pi*f_i*n + phi_i)),   n = 0..N-1,
 
-with normalized frequencies f_i in (0, 0.5) cycles/sample. The
-generation pipeline for one labeled example is
-
-    draw_parameters -> synthesize -> add_noise -> normalize_power
-                    -> quantize (see qsine.quantize) -> to_iq
-
-Frames are plain complex128 ndarrays; the quantizer input is normalized to
-unit average per-sample power (||s||^2 = N) so each real component is
-approximately Normal(0, 1/2) for the Bussgang linearization downstream.
+with normalized frequencies f_i in (0, 0.5) cycles/sample. One labeled
+example draws its label (`draw_parameters`), synthesizes u, adds complex
+Gaussian noise at its SNR, scales the noisy frame to unit average per-sample
+power (||s||^2 = N, so each real component is approximately Normal(0, 1/2)
+for the Bussgang linearization downstream), quantizes it (see
+qsine.quantize) and stores it as an N x 2 real IQ matrix [Re | Im].
 
 A generated or loaded dataset is a `Dataset`: one array per field, row i
 holding example i (the IQ frames, counts, padded labels and SNRs). It
 indexes and iterates as `LabeledExample`s. `make_dataset` builds it in two
-phases that give the same bytes as running the pipeline above frame by
-frame:
+phases that give the same bytes as taking those steps frame by frame (the
+per-frame reference is tests/oracles.py):
 
 1. per frame, in index order: the SNR, the label (count, frequencies with
    rejection, amplitudes, phases) and the noise are drawn from the frame's
@@ -216,36 +213,6 @@ class Dataset:
             yield self[i]
 
 
-def synthesize(params: ParameterSet, N: int) -> np.ndarray:
-    """Noiseless frame u[n] = sum_i a_i exp(j(2 pi f_i n + phi_i)).
-
-    An empty parameter set (m = 0 container) yields the all-zero frame.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    n = np.arange(N, dtype=np.float64)
-    if len(params.freqs) == 0:
-        return np.zeros(N, dtype=np.complex128)
-    angles = TWO_PI * np.outer(n, params.freqs) + params.phases[None, :]
-    return (params.amps[None, :] * np.exp(1j * angles)).sum(axis=1)
-
-
-def add_noise(
-    frame: np.ndarray, snr_db: float, signal_power: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Adds circularly-symmetric complex Gaussian noise at the requested SNR.
-
-    Noise variance is sigma_v^2 = signal_power / 10^(snr_db/10), split evenly
-    between the real and imaginary components. snr_db = +inf returns the frame
-    unchanged (noiseless sentinel).
-    """
-    sigma = _noise_sigma(snr_db, signal_power)
-    if sigma is None:
-        return frame.copy()
-    noise = rng.normal(0.0, sigma, size=(len(frame), 2))
-    return frame + noise[:, 0] + 1j * noise[:, 1]
-
-
 def _noise_sigma(snr_db: float, signal_power: float) -> float | None:
     # per-component noise standard deviation; None for the +inf sentinel
     if signal_power <= 0:
@@ -256,27 +223,6 @@ def _noise_sigma(snr_db: float, signal_power: float) -> float | None:
         raise ValueError("snr_db must be finite or +inf")
     var = signal_power / 10.0 ** (snr_db / 10.0)
     return math.sqrt(var / 2.0)
-
-
-def normalize_power(frame: np.ndarray) -> np.ndarray:
-    """Scales to unit average per-sample power: s = sqrt(N) * frame / ||frame||."""
-    norm = np.linalg.norm(frame)
-    if norm == 0.0:
-        raise ValueError("cannot normalize an all-zero frame")
-    return math.sqrt(len(frame)) * frame / norm
-
-
-def to_iq(frame: np.ndarray) -> np.ndarray:
-    """Vectorizes a complex frame into an N x 2 real matrix [Re | Im]."""
-    return np.stack([frame.real, frame.imag], axis=1)
-
-
-def from_iq(x: np.ndarray) -> np.ndarray:
-    """Inverse of to_iq."""
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[1] != 2:
-        raise ValueError(f"expected an (N, 2) IQ matrix, got shape {x.shape}")
-    return x[:, 0] + 1j * x[:, 1]
 
 
 def _draw_freqs_in_distribution(m: int, N: int, rng: np.random.Generator) -> np.ndarray:
@@ -382,15 +328,16 @@ def make_dataset(cfg: GenConfig, count: int) -> Dataset:
 
 
 def _synthesize_rows(A: np.ndarray, F: np.ndarray, P: np.ndarray, N: int) -> np.ndarray:
-    # synthesize() of each row of the (B, m) label arrays -> (B, N)
+    # the noiseless frame u of each row of the (B, m) label arrays -> (B, N)
     n = np.arange(N, dtype=np.float64)
     angles = TWO_PI * (n[:, None] * F[:, None, :]) + P[:, None, :]
     return (A[:, None, :] * np.exp(1j * angles)).sum(axis=2)
 
 
 def _normalize_rows(y: np.ndarray) -> np.ndarray:
-    # normalize_power() of each row. A norm over axis=1 differs from the
-    # per-row np.linalg.norm in the last bit on about a fifth of rows.
+    # each row scaled to unit average per-sample power, sqrt(N) * y / ||y||.
+    # A norm over axis=1 differs from the per-row np.linalg.norm in the last
+    # bit on about a fifth of rows.
     norms = np.array([np.linalg.norm(row) for row in y])
     if not norms.all():
         raise ValueError("cannot normalize an all-zero frame")

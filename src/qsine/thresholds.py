@@ -22,28 +22,18 @@ import numpy as np
 
 from .losses import LossVector, detection_loss
 
-_INV_E = math.exp(-1.0)
-
 
 def lambert_w(x: float) -> float:
-    """Principal-branch Lambert W: solves w*e^w = x for x >= -1/e.
+    """Principal-branch Lambert W: solves w*e^w = x for x >= 0.
 
-    Halley iteration from a piecewise initial guess (branch-point series for
-    x near -1/e, w0 = x for small negative x, log1p(x) for moderate x,
-    log(x) - log(log(x)) for large x). Residual |w*e^w - x| <= 1e-13.
+    Halley iteration from log1p(x) for x < e and log(x) - log(log(x)) above.
+    Residual |w*e^w - x| <= 1e-13 * max(1, x). Its one caller passes sums of
+    exponentials, so the negative branch down to -1/e is not served.
     """
     x = float(x)
-    if x < -_INV_E - 1e-15:
-        raise ValueError(f"lambert_w domain is x >= -1/e, got {x}")
-    if x < -_INV_E:
-        x = -_INV_E
-    if x == -_INV_E:
-        return -1.0
-    if x < -0.2:
-        w = -1.0 + math.sqrt(2.0 * (math.e * x + 1.0))
-    elif x < 0.0:
-        w = x
-    elif x < math.e:
+    if x < 0.0:
+        raise ValueError(f"lambert_w domain is x >= 0, got {x}")
+    if x < math.e:
         w = math.log1p(x)
     else:
         lx = math.log(x)
@@ -51,7 +41,7 @@ def lambert_w(x: float) -> float:
     for _ in range(100):
         ew = math.exp(w)
         f = w * ew - x
-        if abs(f) <= 1e-13 * max(1.0, abs(x)):
+        if abs(f) <= 1e-13 * max(1.0, x):
             return w
         denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
         w -= f / denom

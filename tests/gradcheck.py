@@ -9,8 +9,8 @@ from typing import Callable
 
 import numpy as np
 
-from .layers import Dropout
-from .network import Network
+from qsine.nn.layers import Dropout
+from qsine.nn.network import Network
 
 LossFn = Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]]
 

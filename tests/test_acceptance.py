@@ -23,10 +23,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gradcheck import finite_diff_check
+from oracles import add_noise, normalize_power, synthesize, to_iq
 from qsine.classical import aic_mdl_detect, classical_estimate
 from qsine.harness import _TAG_OOD, _cell_examples, build_parser, main
 from qsine.losses import detection_loss
-from qsine.nn.gradcheck import finite_diff_check
 from qsine.nn.layers import (Activation, BatchNorm1D, Conv1D, Dense, Dropout,
                              Flatten, MaxPool1D)
 from qsine.nn.network import Network
@@ -35,9 +36,8 @@ from qsine.signalnet import (SinusoidEstimator, _mean_count_loss,
                              build_detection_network, build_estimator,
                              detect_count_batch, detection_batch_grads,
                              estimator_batch_grads, estimator_forward_batch)
-from qsine.signals import (GenConfig, ParameterSet, add_noise,
-                           draw_parameters, make_dataset, normalize_power,
-                           substream, synthesize)
+from qsine.signals import (GenConfig, ParameterSet, draw_parameters,
+                           make_dataset, substream)
 from qsine.thresholds import (amplitude_threshold, detection_threshold,
                               frequency_threshold, mean_frequency_estimator,
                               phase_threshold)
@@ -388,7 +388,7 @@ def model_order_hit_rates():
             params = draw_parameters(cfg, rng)
             u = synthesize(params, N)
             y = add_noise(u, 30.0, float(np.sum(params.amps**2)), rng)
-            s = normalize_power(y)
+            s = to_iq(normalize_power(y))
             k = {crit: aic_mdl_detect(s, criterion=crit, L=16, Mmax=M)
                  for crit in ("aic", "mdl")}
             for crit in ("aic", "mdl"):
@@ -411,7 +411,7 @@ class TestClassicalRoundTrip:
             phi = rng.uniform(0.0, 2.0 * math.pi)
             ps = ParameterSet(m=1, amps=np.array([a]), freqs=np.array([f]),
                               phases=np.array([phi]))
-            x = synthesize(ps, N)
+            x = to_iq(synthesize(ps, N))
             est = classical_estimate(x, 1, qspec=None, nfft=2**16)
             assert abs(est.freqs[0] - f) <= 1.0 / 2**16 + 1e-9
             assert abs(est.amps[0] - a) / a <= 0.02

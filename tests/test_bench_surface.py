@@ -1,8 +1,12 @@
-"""The names of the package that the benchmark under bench/ reaches.
+"""The names of the package that the benchmark under bench/ reaches, and
+the package's own surface.
 
 The benchmark wraps the functions listed in bench/spans.py by getattr and
 imports others by name in bench/run.py and bench/test_checks.py; a name
-deleted from the package fails its run, so every one must resolve."""
+deleted from the package fails its run, so every one must resolve. The
+other way round, every public top-level name of src/qsine must be reached
+by the package itself or by bench/: code that only tests call belongs
+under tests/."""
 import ast
 import importlib
 import importlib.util
@@ -10,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+PACKAGE = ROOT / "src" / "qsine"
 
 
 def _spans():
@@ -64,3 +70,47 @@ def test_detector_inference_forward_returns_probs():
     x = np.zeros((3, 64, 2), np.float32)
     probs = build_detection_network(N=64, M=5).forward(x, train=False)["probs"]
     assert probs.shape == (3, 5)
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Every name a tree mentions: names, attributes, imported names and
+    string constants (bench/spans.py lists its targets as strings)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def test_package_names_are_reached():
+    # a public top-level def, class or assignment of src/qsine counts as
+    # reached when another top-level statement of the package, or any file
+    # under bench/, refers to it
+    stmts = [(path, stmt) for path in sorted(PACKAGE.rglob("*.py"))
+             for stmt in ast.parse(path.read_text(), filename=str(path)).body]
+    refs = [_references(stmt) for _, stmt in stmts]
+    bench = set().union(*(_references(ast.parse(path.read_text()))
+                          for path in sorted(BENCH.rglob("*.py"))))
+    unreached = [f"{path.relative_to(PACKAGE)}: {name}"
+                 for i, (path, stmt) in enumerate(stmts)
+                 for name in _defined(stmt)
+                 if not name.startswith("_") and name not in bench
+                 and not any(name in r for j, r in enumerate(refs) if j != i)]
+    assert not unreached, ("names only tests reach; move them under tests/ "
+                           f"or delete them: {unreached}")

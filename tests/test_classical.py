@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from oracles import add_noise, normalize_power, synthesize, to_iq
 from qsine import classical
 from qsine.classical import (
     DEFAULT_NFFT,
@@ -18,18 +19,7 @@ from qsine.classical import (
     zero_padded_dft,
 )
 from qsine.quantize import bussgang_linearize, make_quantizer, quantize
-from qsine.signals import (
-    TWO_PI,
-    GenConfig,
-    ParameterSet,
-    add_noise,
-    from_iq,
-    make_dataset,
-    normalize_power,
-    substream,
-    synthesize,
-    to_iq,
-)
+from qsine.signals import TWO_PI, GenConfig, ParameterSet, make_dataset, substream
 
 
 def _tone_frame(amps, freqs, phases, N=64):
@@ -107,7 +97,7 @@ class TestPickPeaks:
 class TestClassicalEstimate:
     def test_single_tone_round_trip(self):
         _, x = _tone_frame([0.8], [0.2], [1.0])
-        ps = classical_estimate(x, 1)
+        ps = classical_estimate(to_iq(x), 1)
         assert abs(ps.freqs[0] - 0.2) <= 1.0 / DEFAULT_NFFT
         assert ps.amps[0] == pytest.approx(0.8, rel=0.02)
         assert ps.phases[0] == pytest.approx(1.0, abs=0.05)
@@ -117,7 +107,7 @@ class TestClassicalEstimate:
         # O(1/(N*nfft_bin)) -- far above the single-tone bin error, so the
         # frequency tolerance is looser here
         _, x = _tone_frame([1.0, 0.7], [0.1, 0.3], [0.5, 4.0])
-        ps = classical_estimate(x, 2)
+        ps = classical_estimate(to_iq(x), 2)
         npt.assert_allclose(ps.freqs, [0.1, 0.3], atol=5e-4)
         npt.assert_allclose(ps.amps, [1.0, 0.7], rtol=0.05)
         npt.assert_allclose(ps.phases, [0.5, 4.0], atol=0.15)
@@ -137,7 +127,7 @@ class TestClassicalEstimate:
 
     def test_results_sorted_by_frequency(self):
         _, x = _tone_frame([0.5, 1.0], [0.35, 0.12], [1.0, 2.0])
-        ps = classical_estimate(x, 2)
+        ps = classical_estimate(to_iq(x), 2)
         assert ps.freqs[0] < ps.freqs[1]
 
 
@@ -154,7 +144,7 @@ class TestAicMdl:
     @pytest.mark.parametrize("m", [1, 2])
     def test_mdl_detects_clean_tones(self, m):
         hits = sum(
-            aic_mdl_detect(_noisy_frame(m, 30.0, seed), "mdl") == m
+            aic_mdl_detect(to_iq(_noisy_frame(m, 30.0, seed)), "mdl") == m
             for seed in range(50)
         )
         assert hits >= 45
@@ -163,13 +153,13 @@ class TestAicMdl:
     def test_aic_overshoots_but_never_undershoots(self, m):
         # AIC's fixed penalty is too weak at high SNR: it sometimes reports
         # extra sources, but does not drop real ones
-        preds = [aic_mdl_detect(_noisy_frame(m, 30.0, seed), "aic")
+        preds = [aic_mdl_detect(to_iq(_noisy_frame(m, 30.0, seed)), "aic")
                  for seed in range(50)]
         assert all(p >= m for p in preds)
         assert sum(p == m for p in preds) >= 25
 
     def test_scale_invariance(self):
-        x = _noisy_frame(2, 10.0, 5)
+        x = to_iq(_noisy_frame(2, 10.0, 5))
         for crit in ("aic", "mdl"):
             assert aic_mdl_detect(x, crit) == aic_mdl_detect(10.0 * x, crit)
 
@@ -177,21 +167,18 @@ class TestAicMdl:
         hits = 0
         for seed in range(10):
             noise = substream(100 + seed, 0).normal(size=(64, 2)) / np.sqrt(2)
-            z = noise[:, 0] + 1j * noise[:, 1]
-            hits += aic_mdl_detect(z, "mdl") == 1
+            hits += aic_mdl_detect(noise, "mdl") == 1
         assert hits >= 8
 
     def test_qspec_path_matches_manual_linearization(self):
-        from qsine.quantize import bussgang_linearize
-
         q = make_quantizer(3)
         z = quantize(normalize_power(_noisy_frame(2, 20.0, 9)), q)
         via_qspec = aic_mdl_detect(to_iq(z), "mdl", qspec=q)
-        manual = aic_mdl_detect(bussgang_linearize(to_iq(z), q), "mdl")
+        manual = aic_mdl_detect(to_iq(bussgang_linearize(to_iq(z), q)), "mdl")
         assert via_qspec == manual
 
     def test_validation(self):
-        x = _noisy_frame(1, 10.0, 1)
+        x = to_iq(_noisy_frame(1, 10.0, 1))
         with pytest.raises(ValueError, match="criterion"):
             aic_mdl_detect(x, "bic")
         with pytest.raises(ValueError, match="L must be"):
@@ -200,7 +187,7 @@ class TestAicMdl:
             aic_mdl_detect(x, "mdl", L=4, Mmax=4)
 
     def test_mmax_caps_answer(self):
-        x = _noisy_frame(2, 30.0, 3)
+        x = to_iq(_noisy_frame(2, 30.0, 3))
         assert aic_mdl_detect(x, "mdl", Mmax=1) == 1
 
 
@@ -212,7 +199,7 @@ def _ref_frame(x, qspec):
     x = np.asarray(x)
     if qspec is not None:
         return bussgang_linearize(x, qspec)
-    return x if np.iscomplexobj(x) else from_iq(x)
+    return x[:, 0] + 1j * x[:, 1]
 
 
 def _ref_pick(mag, nfft, m, N):
@@ -290,9 +277,9 @@ def _cell(bits, snr, m_fixed, n, seed):
 
 
 def _unquantized_stack(n, seed):
-    """(n, 64) complex frames of 1..5 tones in noise, never quantized."""
+    """(n, 64, 2) IQ frames of 1..5 tones in noise, never quantized."""
     counts = 1 + np.arange(n) % 5
-    frames = [_noisy_frame(int(m), [-5.0, 5.0, 20.0][i % 3], seed + i)
+    frames = [to_iq(_noisy_frame(int(m), [-5.0, 5.0, 20.0][i % 3], seed + i))
               for i, m in enumerate(counts)]
     return np.stack(frames), counts
 

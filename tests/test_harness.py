@@ -26,6 +26,7 @@ from qsine.harness import (
     _snr_grid,
     main,
 )
+from qsine.nn.checkpoint import save_chain
 from qsine.signals import load_dataset
 from qsine.signalnet import load_estimator, load_signalnet
 from qsine.thresholds import detection_threshold, frequency_threshold
@@ -158,6 +159,15 @@ class TestGenerateCommand:
         # in-distribution anchors live in [0, 0.25); uniform mode fills (0, 0.5)
         assert freqs.max() > 0.3
         assert np.all(freqs < 0.5)
+
+    @pytest.mark.parametrize("mode", ["in_distribution", "ood_uniform"])
+    def test_freq_mode_takes_only_the_ood_csv_spellings(self, capsys, tmp_path, mode):
+        base = tmp_path / "ds"
+        code, _, err = _run(capsys, ["generate", "--out", str(base), "--count", "2",
+                                     "--freq-mode", mode])
+        assert code == 1
+        assert f"invalid choice: '{mode}'" in err
+        assert not Path(str(base) + ".labels.csv").exists()
 
 
 # --------------------------------------------------------------------------
@@ -420,6 +430,43 @@ class TestReadErrors:
                                      "--out", str(tmp_path / "e.ckpt")])
         assert code == 2
         assert f"qsine: error: {labels}:{line}: {message}" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "Expecting property name enclosed in double quotes"),
+        ("{}", "missing key 'N'"),
+    ])
+    def test_bundle_manifest(self, capsys, tmp_path, monkeypatch, text, message):
+        monkeypatch.setattr(harness, "_cell_examples", _no_cell)
+        bundle = _untrained_bundle(tmp_path / "bundle")
+        manifest = Path(bundle) / "signalnet.json"
+        manifest.write_text(text)
+        code, _, err = _run(capsys, ["eval", "--bundle", bundle, "--m-max", "1",
+                                     "--bits", "3", "--algorithms", "nn_detect",
+                                     "--out", str(tmp_path / "e.csv")])
+        assert code == 2
+        assert f"qsine: error: {manifest}: {message}" in err
+
+    def test_ood_chain_without_n(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_cell_examples", _no_cell)
+        ckpt = tmp_path / "est.ckpt"
+        save_chain(signalnet.build_estimator(2).blocks, ckpt,
+                   meta={"task": "estimator", "m": 2, "bits": 3})
+        code, _, err = _run(capsys, ["ood", "--m", "2", "--est-ckpt", str(ckpt),
+                                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"qsine: error: {ckpt}: chain meta has no N" in err
+
+    def test_bundle_chain_without_n(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_cell_examples", _no_cell)
+        bundle = _untrained_bundle(tmp_path / "bundle")
+        ckpt = Path(bundle) / "est_m1.ckpt"
+        save_chain(signalnet.build_estimator(1).blocks, ckpt,
+                   meta={"task": "estimator", "m": 1, "bits": 3})
+        code, _, err = _run(capsys, ["eval", "--bundle", bundle, "--m-max", "1",
+                                     "--bits", "3", "--algorithms", "nn_est",
+                                     "--out", str(tmp_path / "e.csv")])
+        assert code == 2
+        assert f"qsine: error: {ckpt}: chain meta has no N" in err
 
     def test_dataset_line_numbers_count_blank_lines(self, tmp_path):
         base = str(tmp_path / "ds")

@@ -4,7 +4,7 @@ import pytest
 
 from qsine.losses import (
     LossVector,
-    chamfer,
+    _chamfer_rows,
     detection_loss,
     effective_loss,
     normalized_chamfer,
@@ -37,6 +37,11 @@ class TestDetectionLoss:
         out = detection_loss(np.array([[2], [3]]), np.arange(1, 6))
         assert out.shape == (2, 5)
         assert out[0, 1] == 0.0 and out[1, 2] == 0.0
+
+
+def chamfer(f, fhat) -> float:
+    """The Chamfer distance of one pair of value sets, as a one-row batch."""
+    return float(_chamfer_rows(np.atleast_2d(f), np.atleast_2d(fhat))[0])
 
 
 class TestChamfer:

@@ -1,8 +1,11 @@
 """Network engine: layer math, gradients, Adam, checkpoint format."""
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gradcheck import finite_diff_check
 from qsine.nn.checkpoint import (
     MAGIC,
     _pack,
@@ -14,7 +17,6 @@ from qsine.nn.checkpoint import (
     network_to_bytes,
     save_network,
 )
-from qsine.nn.gradcheck import finite_diff_check
 from qsine.nn.layers import (
     SELU_ALPHA,
     SELU_LAMBDA,
@@ -79,10 +81,10 @@ class TestConv1DForward:
 
 
 class TestMaxPool1DForward:
-    def test_values_and_tail_padding(self):
-        pool = MaxPool1D(2)
+    def test_size_must_divide_length(self):
         x = np.array([3.0, 1.0, 5.0, 2.0, 4.0]).reshape(1, 5, 1)
-        npt.assert_allclose(pool.forward(x)[0, :, 0], [3.0, 5.0, 4.0])
+        with pytest.raises(ValueError, match="does not divide length 5"):
+            MaxPool1D(2).forward(x)
 
     def test_backward_routes_to_argmax(self):
         pool = MaxPool1D(2)
@@ -100,27 +102,18 @@ class TestMaxPool1DForward:
 
     @pytest.mark.parametrize("size", [2, 3, 4])
     def test_matches_argmax_routing(self, size):
-        # small integers make ties common; a tail that needs padding too
+        # small integers make ties common
         pool = MaxPool1D(size)
-        x = _rng(5).integers(0, 3, size=(4, 4 * size + 1, 3)).astype(np.float32)
+        x = _rng(5).integers(0, 3, size=(4, 4 * size, 3)).astype(np.float32)
         out = pool.forward(x, train=True)
         dy = _rng(6).normal(size=out.shape).astype(np.float32)
         dx = pool.backward(dy)
-        L = -(-x.shape[1] // size) * size
-        xp = np.concatenate(
-            [x, np.full((4, L - x.shape[1], 3), -np.inf, np.float32)], axis=1)
-        win = xp.reshape(4, L // size, size, 3)
+        win = x.reshape(4, 4, size, 3)
         idx = win.argmax(axis=2)[:, :, None, :]
         npt.assert_array_equal(out, np.take_along_axis(win, idx, axis=2)[:, :, 0])
         want = np.zeros_like(win)
         np.put_along_axis(want, idx, dy[:, :, None, :], axis=2)
-        npt.assert_array_equal(dx, want.reshape(4, L, 3)[:, : x.shape[1]])
-
-    def test_negative_values_survive_padding(self):
-        # the tail pad must be -inf, not zero
-        pool = MaxPool1D(4)
-        x = np.array([-5.0, -3.0, -7.0]).reshape(1, 3, 1)
-        npt.assert_allclose(pool.forward(x)[0, :, 0], [-3.0])
+        npt.assert_array_equal(dx, want.reshape(x.shape))
 
 
 class TestBatchNorm1DForward:
@@ -256,7 +249,7 @@ _STATEFUL = {
 def _stateful(kind):
     rng = _rng(30)
     make, ndim = _STATEFUL[kind]
-    shape = (4, 6, 2) if ndim == 3 else (4, 2)
+    shape = (4, 8, 2) if ndim == 3 else (4, 2)
     return make(rng), rng.normal(size=shape).astype(np.float32)
 
 
@@ -667,6 +660,25 @@ class TestCheckpoint:
         blob = network_to_bytes(_small_net())
         with pytest.raises(ValueError, match="payload ends inside tensor out.w"):
             network_from_bytes(blob[:-12])
+
+    def test_omitted_tensor_names_it(self, tmp_path):
+        # a manifest without out.b, and a payload without its bytes, must not
+        # load out.b as zeros
+        manifest, payload = _unpack(network_to_bytes(_small_net()))
+        assert manifest["tensors"].pop() == {"node": "out", "key": "b",
+                                             "kind": "param", "shape": [2]}
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(_pack(manifest, payload[:-8]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: tensor out.b missing from the manifest")):
+            load_network(path)
+
+    def test_trailing_payload_bytes_raise(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(network_to_bytes(_small_net()) + bytes(4))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: payload has 4 bytes after the last tensor")):
+            load_network(path)
 
     def test_layers_without_rng_start_at_zero(self):
         # a checkpoint load rebuilds layers without drawing any weights

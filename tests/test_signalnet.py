@@ -6,13 +6,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gradcheck import finite_diff_check
+from oracles import synthesize, to_iq
 from qsine import signalnet
 from qsine.nn import Network
 from qsine.nn.checkpoint import (_pack, _unpack, chain_to_bytes, load_chain,
                                  load_network, network_to_bytes, save_chain,
                                  save_network)
-from qsine.nn.gradcheck import finite_diff_check
-from qsine.signals import GenConfig, ParameterSet, make_dataset, substream, synthesize, to_iq
+from qsine.signals import GenConfig, ParameterSet, make_dataset, substream
 from qsine.signalnet import (
     INFER_ROWS,
     SignalNetModel,

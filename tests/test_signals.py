@@ -5,22 +5,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from oracles import add_noise, normalize_power, synthesize, to_iq
 from qsine import signals
 from qsine.quantize import make_quantizer, quantize
 from qsine.signals import (
     Dataset,
     GenConfig,
     ParameterSet,
-    add_noise,
     draw_parameters,
-    from_iq,
     load_dataset,
     make_dataset,
-    normalize_power,
     save_dataset,
     substream,
-    synthesize,
-    to_iq,
 )
 
 
@@ -74,7 +70,7 @@ class TestNoiseAndNormalization:
         frame = rng.normal(size=10) + 1j * rng.normal(size=10)
         x = to_iq(frame)
         assert x.shape == (10, 2)
-        npt.assert_array_equal(from_iq(x), frame)
+        npt.assert_array_equal(x[:, 0] + 1j * x[:, 1], frame)
 
 
 class TestDrawParameters:
@@ -169,7 +165,7 @@ class TestMakeExample:
 
 
 def _reference_example(cfg, index, spec):
-    """Example `index` built frame by frame with the public pipeline."""
+    """Example `index` built frame by frame with the reference pipeline."""
     rng = substream(cfg.seed, index)
     if cfg.snr_range is not None:
         snr_db = float(rng.uniform(cfg.snr_range[0], cfg.snr_range[1]))
