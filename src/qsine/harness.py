@@ -44,7 +44,7 @@ from .classical import (
     check_window,
     periodogram_estimates,
 )
-from .losses import LossVector, detection_loss, normalized_chamfer_batch
+from .losses import detection_loss, normalized_chamfer_batch
 from .quantize import make_quantizer
 from .signals import Dataset, GenConfig, load_dataset, make_dataset, save_dataset
 from .signalnet import (
@@ -78,7 +78,7 @@ OOD_HEADER = EVAL_HEADER + ["freq_mode"]
 FREQ_MODES = {"in_dist": "in_distribution", "ood": "ood_uniform"}
 ALL_ALGORITHMS = ["nn_detect", "nn_est", "signalnet", "periodogram", "aic",
                   "mdl", "aic_periodogram"]
-CLASSICAL_ALGORITHMS = ["periodogram", "aic", "mdl", "aic_periodogram"]
+MODEL_ALGORITHMS = {"nn_detect", "nn_est", "signalnet"}  # need --bundle
 PERIODOGRAM_ALGORITHMS = {"periodogram", "aic_periodogram"}  # read --nfft
 EIGEN_ALGORITHMS = {"aic", "mdl", "aic_periodogram"}  # read --L
 
@@ -102,39 +102,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-def _parse_config_file(path: str) -> dict[str, str]:
-    lines = Path(path).read_text().splitlines()
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, val = line.split("=", 1)
-        out[key.strip().replace("_", "-")] = val.strip()
-    return out
-
-
-def _inject_config(argv: list[str]) -> list[str]:
-    """Appends config-file entries as flags (explicit flags win)."""
-    path = None
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif arg.startswith("--config="):
-            path = arg.split("=", 1)[1]
-    if path is None:
-        return argv
-    present = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
-    extra: list[str] = []
-    for key, val in _parse_config_file(path).items():
-        flag = "--" + key
-        if flag not in present:
-            extra.extend([flag, val])
-    return argv + extra
 
 
 def _cell_seed(*key: int) -> int:
@@ -178,10 +145,13 @@ def _check_sizes(args) -> None:
 
 
 def _check_meta(path, meta: dict, flags: dict) -> None:
-    """Rejects a dataset or model whose meta disagrees with the command's
-    flags; flags maps a meta field to (flag, value)."""
+    """Rejects a dataset or model whose meta lacks a field or disagrees with
+    the command's flags; flags maps a meta field to (flag, value)."""
     for field, (flag, value) in flags.items():
-        if field in meta and meta[field] != value:
+        if field not in meta:
+            raise ValueError(f"{path}: no {field} to check against "
+                             f"{flag} {value}")
+        if meta[field] != value:
             raise ValueError(f"{path}: {field}={meta[field]} does not match "
                              f"{flag} {value}")
 
@@ -262,6 +232,17 @@ def _map_cells(cells: list[tuple]) -> list:
         return list(pool.map(_run_cell, range(len(cells))))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _sweep(args, header: list[str], rows: list[tuple], cells: list[tuple]):
+    """Adds the cells' rows to rows, writes them to --out sorted (so the
+    bytes do not depend on cell order) and reports; returns exit code 0."""
+    rows += [row for cell_rows in _map_cells(cells) for row in cell_rows]
+    # the key's tail is ood's freq_mode column; eval rows end at the seed
+    rows.sort(key=lambda r: (r[0], r[1], str(r[2]), r[3], r[4], *r[8:]))
+    _write_csv(args.out, header, rows)
+    print(f"wrote {args.out} ({len(rows)} rows)")
+    return 0
 
 
 # --------------------------------------------------------------------------
@@ -385,17 +366,20 @@ def _cell_examples(args, bits: int, m_code: int, snr: float, tag: int,
     return make_dataset(gen, args.n)
 
 
-def _estimator_metrics(A, F, P, At, Ft, Pt, thr: LossVector):
-    """The metrics of estimates (A, F, P) against the truth; float32
-    network heads are scored in float64."""
-    A, F, P = (np.asarray(h, dtype=np.float64) for h in (A, F, P))
-    cham = normalized_chamfer_batch((At, Ft, Pt), (A, F, P), thr)
-    return {
-        "freq_mse_db": _db(float(np.mean((F - Ft) ** 2))),
-        "amp_mse_db": _db(float(np.mean((A - At) ** 2))),
-        "phase_mse": float(np.mean((P - Pt) ** 2)),
-        "chamfer_norm": float(np.mean(cham)),
-    }
+def _estimate_rows(args, algo: str, bits: int, m: int, snr: float,
+                   cell: Dataset, est, *tail) -> list[tuple]:
+    """The metric rows of a count-m cell's estimates est = (A, F, P), each
+    ending with tail; float32 network heads are scored in float64."""
+    A, F, P = (np.asarray(h, dtype=np.float64) for h in est)
+    At, Ft, Pt = cell.amps, cell.freqs, cell.phases
+    cham = normalized_chamfer_batch((At, Ft, Pt), (A, F, P),
+                                    estimation_thresholds(m, args.frame_len))
+    metrics = (("freq_mse_db", _db(float(np.mean((F - Ft) ** 2)))),
+               ("amp_mse_db", _db(float(np.mean((A - At) ** 2)))),
+               ("phase_mse", float(np.mean((P - Pt) ** 2))),
+               ("chamfer_norm", float(np.mean(cham))))
+    return [(algo, bits, m, snr, metric, value, len(cell), args.seed, *tail)
+            for metric, value in metrics]
 
 
 def _chamfer_norm(cell: Dataset, est_counts, est, N: int) -> float:
@@ -438,127 +422,93 @@ def cmd_eval(args) -> int:
         _check_meta(args.bundle, {"N": bundle.N},
                     {"N": ("--frame-len", args.frame_len)})
     algorithms = _select_algorithms(args, bundle)
-    if PERIODOGRAM_ALGORITHMS & set(algorithms):
+    if PERIODOGRAM_ALGORITHMS & algorithms:
         check_nfft(args.nfft, args.frame_len)
-    if EIGEN_ALGORITHMS & set(algorithms):
+    if EIGEN_ALGORITHMS & algorithms:
         check_window(args.L, args.m_max, args.frame_len)
     rows: list[tuple] = []
     cells: list[tuple] = []
     for bits in args.bits:
         qspec = make_quantizer(bits)
-        nn_ok = bundle is not None and bundle.bits == bits
-        if not nn_ok and any(a.startswith("nn") or a == "signalnet"
-                             for a in algorithms):
+        wanted = algorithms
+        if MODEL_ALGORITHMS & wanted and bundle.bits != bits:
             print(f"note: skipping model-based algorithms at bits={bits} "
-                  f"(bundle is for bits={bundle.bits if bundle else '-'})",
-                  file=sys.stderr)
-        nn_bundle = bundle if nn_ok else None
+                  f"(bundle is for bits={bundle.bits})", file=sys.stderr)
+            wanted = algorithms - MODEL_ALGORITHMS
         for snr in grid:
             rows.extend(_threshold_rows(args, bits, snr))
             for m in range(1, args.m_max + 1):
+                chain = bundle.estimators.get(m) if "nn_est" in wanted else None
+                if "nn_est" in wanted and chain is None:
+                    print(f"note: bundle lacks an m={m} estimator; skipping "
+                          "nn_est", file=sys.stderr)
                 cells.append((_eval_estimator_cell, (
-                    args, bits, m, snr, qspec,
-                    _cell_chain(nn_bundle, m, algorithms), algorithms)))
-            cells.append((_eval_joint_cell, (args, bits, snr, qspec,
-                                             nn_bundle, algorithms)))
-    rows.extend(row for cell_rows in _map_cells(cells) for row in cell_rows)
-    rows.sort(key=lambda r: (r[0], r[1], str(r[2]), r[3], r[4]))
-    _write_csv(args.out, EVAL_HEADER, rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0
+                    args, bits, m, snr, qspec, chain, "periodogram" in wanted)))
+            cells.append((_eval_joint_cell, (args, bits, snr, qspec, bundle,
+                                             wanted)))
+    return _sweep(args, EVAL_HEADER, rows, cells)
 
 
-def _cell_chain(bundle, m: int, algorithms):
-    """The chain an nn_est cell of count m runs: the bundle's, or None when
-    nn_est is not wanted or the bundle has none (noted here, in cell order)."""
-    if bundle is None or "nn_est" not in algorithms:
-        return None
-    if m not in bundle.estimators:
-        print(f"note: bundle lacks an m={m} estimator; skipping nn_est",
-              file=sys.stderr)
-    return bundle.estimators.get(m)
-
-
-def _select_algorithms(args, bundle) -> list[str]:
-    if args.algorithms == "all":
-        names = list(ALL_ALGORITHMS) if bundle else list(CLASSICAL_ALGORITHMS)
-    else:
-        names = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-        unknown = set(names) - set(ALL_ALGORITHMS)
+def _select_algorithms(args, bundle) -> set[str]:
+    names = set(ALL_ALGORITHMS)
+    if args.algorithms != "all":
+        names = {a.strip() for a in args.algorithms.split(",") if a.strip()}
+        unknown = names - set(ALL_ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        if bundle is None and any(a.startswith("nn") or a == "signalnet"
-                                  for a in names):
+        if bundle is None and MODEL_ALGORITHMS & names:
             raise ValueError(
                 "model-based algorithms need --bundle <dir with signalnet.json>")
-    return names
+    return names if bundle else names - MODEL_ALGORITHMS
 
 
-def _eval_estimator_cell(args, bits, m, snr, qspec, chain, algorithms):
-    """Scores the count-m cell, nn_est by the chain unless it is None;
-    returns the rows."""
-    rows = []
-    wanted = [a for a in ("periodogram", "nn_est") if a in algorithms]
-    if not wanted:
-        return rows
+def _eval_estimator_cell(args, bits, m, snr, qspec, chain, periodogram):
+    """Scores the count-m cell by the periodogram if asked and by the chain
+    unless it is None; returns the rows."""
+    if not periodogram and chain is None:
+        return []
     cell = _cell_examples(args, bits, m, snr, _TAG_EVAL)
-    At, Ft, Pt = cell.amps, cell.freqs, cell.phases
-    thr = estimation_thresholds(m, args.frame_len)
-    n = len(cell)
-    if "periodogram" in wanted:
-        est_a, est_f, est_p = periodogram_estimates(cell.x, m, qspec,
-                                                    args.nfft)
-        for metric, value in _estimator_metrics(est_a, est_f, est_p,
-                                                At, Ft, Pt, thr).items():
-            rows.append(("periodogram", bits, m, snr, metric, value, n,
-                         args.seed))
+    rows = []
+    if periodogram:
+        rows += _estimate_rows(args, "periodogram", bits, m, snr, cell,
+                               periodogram_estimates(cell.x, m, qspec,
+                                                     args.nfft))
     if chain is not None:
-        A, F, P = estimator_forward_batch(chain, cell.x.astype(np.float32))
-        for metric, value in _estimator_metrics(A, F, P, At, Ft, Pt,
-                                                thr).items():
-            rows.append(("nn_est", bits, m, snr, metric, value, n, args.seed))
+        rows += _estimate_rows(args, "nn_est", bits, m, snr, cell,
+                               estimator_forward_batch(
+                                   chain, cell.x.astype(np.float32)))
     return rows
 
 
-def _eval_joint_cell(args, bits, snr, qspec, bundle, algorithms):
+def _eval_joint_cell(args, bits, snr, qspec, bundle, wanted):
     """Scores the mixed-count cell; returns the rows."""
-    rows = []
-    wanted = [a for a in ("aic", "mdl", "nn_detect", "signalnet",
-                          "aic_periodogram") if a in algorithms]
-    if not wanted:
-        return rows
+    if not wanted - {"periodogram", "nn_est"}:
+        return []
     cell = _cell_examples(args, bits, 0, snr, _TAG_EVAL)
     X = cell.x.astype(np.float32)
-    counts = cell.counts
-    n = len(cell)
-    classical_counts = {}
-    if EIGEN_ALGORITHMS & set(wanted):
-        classical_counts["aic"], classical_counts["mdl"] = aic_mdl_counts(
-            cell.x, qspec, L=args.L, Mmax=args.m_max)
-    for crit in ("aic", "mdl"):
-        if crit in wanted:
-            loss = float(np.mean(detection_loss(counts, classical_counts[crit])))
-            rows.append((crit, bits, "joint", snr, "detection_loss", loss,
-                         n, args.seed))
-    if bundle is not None and {"nn_detect", "signalnet"} & set(wanted):
-        # signalnet's count is the detector's: one forward serves both rows
-        pred = detect_count_batch(bundle.detection, X)
-        loss = float(np.mean(detection_loss(counts, pred)))
-        for algo in ("nn_detect", "signalnet"):
-            if algo in wanted:
-                rows.append((algo, bits, "joint", snr, "detection_loss",
-                             loss, n, args.seed))
-        if "signalnet" in wanted:
-            est = estimate_by_count(bundle, X, pred)
-            rows.append(("signalnet", bits, "joint", snr, "chamfer_norm",
-                         _chamfer_norm(cell, pred, est, args.frame_len), n,
-                         args.seed))
+
+    def row(algo, metric, value):
+        return (algo, bits, "joint", snr, metric, value, len(cell), args.seed)
+
+    counts = {}  # each count-picking algorithm's count per frame
+    if EIGEN_ALGORITHMS & wanted:
+        counts["aic"], counts["mdl"] = aic_mdl_counts(cell.x, qspec, L=args.L,
+                                                      Mmax=args.m_max)
+    if {"nn_detect", "signalnet"} & wanted:
+        # signalnet's count is the detector's: one forward serves both
+        counts["nn_detect"] = counts["signalnet"] = detect_count_batch(
+            bundle.detection, X)
+    rows = [row(algo, "detection_loss",
+                float(np.mean(detection_loss(cell.counts, pred))))
+            for algo, pred in counts.items() if algo in wanted]
+    if "signalnet" in wanted:
+        est = estimate_by_count(bundle, X, counts["signalnet"])
+        rows.append(row("signalnet", "chamfer_norm", _chamfer_norm(
+            cell, counts["signalnet"], est, args.frame_len)))
     if "aic_periodogram" in wanted:
-        pred = classical_counts["aic"]
-        est = periodogram_estimates(cell.x, pred, qspec, args.nfft)
-        rows.append(("aic_periodogram", bits, "joint", snr, "chamfer_norm",
-                     _chamfer_norm(cell, pred, est, args.frame_len), n,
-                     args.seed))
+        est = periodogram_estimates(cell.x, counts["aic"], qspec, args.nfft)
+        rows.append(row("aic_periodogram", "chamfer_norm", _chamfer_norm(
+            cell, counts["aic"], est, args.frame_len)))
     return rows
 
 
@@ -574,26 +524,18 @@ def cmd_ood(args) -> int:
             f"--m {args.m} does not match checkpoint (m={est.m})")
     _check_meta(args.est_ckpt, meta, {"N": ("--frame-len", args.frame_len),
                                       "bits": ("--bits", args.bits_int)})
-    cells = [(_ood_cell, (args, est, snr, mode, tag_name))
-             for snr in _snr_grid(args)
-             for tag_name, mode in FREQ_MODES.items()]
-    rows = [row for cell_rows in _map_cells(cells) for row in cell_rows]
-    rows.sort(key=lambda r: (r[0], r[1], str(r[2]), r[3], r[4], r[8]))
-    _write_csv(args.out, OOD_HEADER, rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0
+    cells = [(_ood_cell, (args, est, snr, mode))
+             for snr in _snr_grid(args) for mode in FREQ_MODES]
+    return _sweep(args, OOD_HEADER, [], cells)
 
 
-def _ood_cell(args, est, snr, mode, tag_name):
+def _ood_cell(args, chain, snr, mode):
     """Scores the chain on one (snr, freq mode) cell; returns the rows."""
-    bits = args.bits_int
-    cell = _cell_examples(args, bits, args.m, snr, _TAG_OOD, freq_mode=mode)
-    A, F, P = estimator_forward_batch(est, cell.x.astype(np.float32))
-    thr = estimation_thresholds(args.m, args.frame_len)
-    metrics = _estimator_metrics(A, F, P, cell.amps, cell.freqs, cell.phases,
-                                 thr)
-    return [("nn_est", bits, args.m, snr, metric, value, len(cell), args.seed,
-             tag_name) for metric, value in metrics.items()]
+    bits, m = args.bits_int, args.m
+    cell = _cell_examples(args, bits, m, snr, _TAG_OOD,
+                          freq_mode=FREQ_MODES[mode])
+    est = estimator_forward_batch(chain, cell.x.astype(np.float32))
+    return _estimate_rows(args, "nn_est", bits, m, snr, cell, est, mode)
 
 
 # --------------------------------------------------------------------------
@@ -633,9 +575,14 @@ def _add_shared(p: _Parser, *, bits_default: str = "3"):
     p.add_argument("--frame-len", type=int, default=64)
     p.add_argument("--snr-min", type=float, default=-10.0)
     p.add_argument("--snr-max", type=float, default=10.0)
+
+
+def _add_sweep(p: _Parser):
+    """The flags of the SNR-sweep commands, eval and ood."""
     p.add_argument("--snr-step", type=float, default=1.0)
-    p.add_argument("--config", default=None,
-                   help="line-oriented 'key = value' defaults file")
+    p.add_argument("--out", required=True)
+    p.add_argument("--n", type=int, default=8000,
+                   help="test frames per cell")
 
 
 def build_parser() -> _Parser:
@@ -676,9 +623,7 @@ def build_parser() -> _Parser:
 
     e = sub.add_parser("eval", help="SNR sweep -> metrics CSV")
     _add_shared(e, bits_default="1,3")
-    e.add_argument("--out", required=True)
-    e.add_argument("--n", type=int, default=8000,
-                   help="test frames per (bits, m, snr) cell")
+    _add_sweep(e)
     e.add_argument("--algorithms", default="all",
                    help=f"comma list from {ALL_ALGORITHMS} (default: all "
                         "applicable)")
@@ -691,8 +636,7 @@ def build_parser() -> _Parser:
 
     o = sub.add_parser("ood", help="in-dist vs OOD estimator sweep")
     _add_shared(o)
-    o.add_argument("--out", required=True)
-    o.add_argument("--n", type=int, default=8000)
+    _add_sweep(o)
     o.add_argument("--m", type=int, default=2)
     o.add_argument("--est-ckpt", required=True,
                    help="estimator chain checkpoint")
@@ -702,7 +646,6 @@ def build_parser() -> _Parser:
     th.add_argument("--M", type=int, default=5)
     th.add_argument("--N", type=int, default=64)
     th.add_argument("--out", default=None, help="also write the CSV here")
-    th.add_argument("--config", default=None)
     th.set_defaults(func=cmd_thresholds)
     return parser
 
@@ -751,11 +694,8 @@ def _set_heap_policy() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _inject_config(argv)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         _postprocess(args)
         _set_heap_policy()
         return args.func(args)

@@ -10,7 +10,8 @@ Layout (little-endian):
 
 A "network" manifest lists nodes (name / kind / config / src) and tensors
 (node, key, kind param|state, shape). A "chain" manifest lists the byte
-length of each embedded network blob; the payload is their concatenation.
+length of each embedded network blob; the payload is their concatenation,
+and must end where the last blob does.
 Identical models serialize to identical bytes. Loading rebuilds the network
 with zero weights, packs it once and copies each tensor into its place; the
 manifest must list every tensor of the rebuilt network, and the payload must
@@ -131,6 +132,8 @@ def chain_from_bytes(data: bytes) -> tuple[list[Network], dict]:
         net, _ = network_from_bytes(payload[offset : offset + length])
         nets.append(net)
         offset += length
+    if offset != len(payload):
+        raise ValueError(f"payload has {len(payload) - offset} bytes after the last block")
     return nets, manifest["meta"]
 
 

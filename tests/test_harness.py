@@ -171,54 +171,6 @@ class TestGenerateCommand:
 
 
 # --------------------------------------------------------------------------
-# config file
-# --------------------------------------------------------------------------
-
-class TestConfigFile:
-    def test_config_supplies_defaults(self, capsys, tmp_path):
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text("count = 15\nseed = 21\n# comment line\n\nm = 1\n")
-        base = str(tmp_path / "fromcfg")
-        code, _, _ = _run(capsys, [
-            "generate", "--out", base, "--config", str(cfg)])
-        assert code == 0
-        _, examples = load_dataset(base)
-        assert len(examples) == 15
-        assert all(ex.label.m == 1 for ex in examples)
-
-    def test_explicit_flag_beats_config(self, capsys, tmp_path):
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text("count = 15\nseed = 21\n")
-        base_cfg = str(tmp_path / "c1")
-        base_ref = str(tmp_path / "c2")
-        _run(capsys, ["generate", "--out", base_cfg, "--config", str(cfg),
-                      "--count", "9"])
-        _run(capsys, ["generate", "--out", base_ref, "--count", "9",
-                      "--seed", "21"])
-        assert (Path(base_cfg + ".labels.csv").read_bytes()
-                == Path(base_ref + ".labels.csv").read_bytes())
-
-    def test_underscore_keys_map_to_flags(self, capsys, tmp_path):
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text("m_max = 2\ncount = 30\nseed = 5\n")
-        base = str(tmp_path / "mm")
-        code, _, _ = _run(capsys, ["generate", "--out", base,
-                                   "--config", str(cfg)])
-        assert code == 0
-        meta, examples = load_dataset(base)
-        assert meta["M"] == 2
-        assert max(ex.label.m for ex in examples) <= 2
-
-    def test_malformed_line_is_data_error(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("count 15\n")
-        code, _, err = _run(capsys, ["generate", "--out",
-                                     str(tmp_path / "x"), "--config", str(cfg)])
-        assert code == 2
-        assert "expected 'key = value'" in err
-
-
-# --------------------------------------------------------------------------
 # exit codes
 # --------------------------------------------------------------------------
 
@@ -301,6 +253,33 @@ class TestExitCodes:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        *((command, "--config")
+          for command in ("generate", "train", "eval", "ood", "thresholds")),
+        ("generate", "--snr-step"),
+        ("train", "--snr-step"),
+    ])
+    def test_flags_nothing_reads_are_usage_errors(self, capsys, tmp_path,
+                                                  command, flag):
+        # --snr-step steps only the eval and ood sweeps
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("seed = 1\n")
+        value = str(cfg) if flag == "--config" else "2"
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out), flag, value, *{
+            "generate": ["--count", "2"],
+            "train": ["--task", "detection", "--samples", "8", "--epochs", "1"],
+            "eval": ["--algorithms", "mdl", "--n", "2", "--snr-max", "-10"],
+            "ood": ["--est-ckpt", str(tmp_path / "est.ckpt"), "--n", "2"],
+            "thresholds": [],
+        }[command]]
+        if command == "ood":
+            _untrained_chain(tmp_path / "est.ckpt")
+        code, _, err = _run(capsys, argv)
+        assert code == 1
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert not list(tmp_path.glob("out*"))
+
     def test_version_exits_zero(self, capsys):
         code, out, _ = _run(capsys, ["--version"])
         assert code == 0
@@ -357,6 +336,18 @@ class TestInputsMatchTheFlags:
                                      "--out", str(out), *flags])
         assert code == 2
         assert f"{ckpt}: {message}" in err
+        assert not out.exists()
+
+    def test_ood_chain_without_bits(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_cell_examples", _no_cell)
+        ckpt = tmp_path / "est.ckpt"
+        save_chain(signalnet.build_estimator(2).blocks, ckpt,
+                   meta={"task": "estimator", "m": 2, "N": 64})
+        out = tmp_path / "o.csv"
+        code, _, err = _run(capsys, ["ood", "--m", "2", "--bits", "1",
+                                     "--est-ckpt", str(ckpt), "--out", str(out)])
+        assert code == 2
+        assert f"qsine: error: {ckpt}: no bits to check against --bits 1" in err
         assert not out.exists()
 
     def test_eval_bundle_frame_len(self, capsys, tmp_path, monkeypatch):

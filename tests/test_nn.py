@@ -12,6 +12,7 @@ from qsine.nn.checkpoint import (
     _unpack,
     chain_from_bytes,
     chain_to_bytes,
+    load_chain,
     load_network,
     network_from_bytes,
     network_to_bytes,
@@ -679,6 +680,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: payload has 4 bytes after the last tensor")):
             load_network(path)
+
+    def test_trailing_chain_bytes_raise(self, tmp_path):
+        path = tmp_path / "est.ckpt"
+        path.write_bytes(chain_to_bytes([_small_net()]) + bytes(8))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: payload has 8 bytes after the last block")):
+            load_chain(path)
 
     def test_layers_without_rng_start_at_zero(self):
         # a checkpoint load rebuilds layers without drawing any weights

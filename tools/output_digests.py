@@ -7,9 +7,10 @@ Runs `generate`, a tiny `train --task detection`, `--task estimator` and
 `--task bundle --m-max 2`, an estimator trained on 2,000 frames (200
 validation rows), `eval` of aic,mdl and of periodogram,aic_periodogram at
 bits 1 and 3, `eval` of nn_est,nn_detect,signalnet on the bundle at 100 and
-300 frames a cell, `ood` on the trained estimator at 100 and 321 frames a
-cell, the same bundle, `eval` and `ood` at `--frame-len 32`, and
-`thresholds`, each as `python3 -m qsine.harness` with the checkout's
+300 frames a cell, `eval` of all algorithms on the bundle at bits 1 and 3
+(the bundle's nn algorithms are skipped at bits 1), `ood` on the trained
+estimator at 100 and 321 frames a cell, the same bundle, `eval` and `ood`
+at `--frame-len 32`, and `thresholds`, each as `python3 -m qsine.harness` with the checkout's
 `src` first on PYTHONPATH, into a temporary directory. Prints one
 `<sha256>  <file>` line per output, sorted by name, and for each `*.ckpt`
 one more `<sha256>  <file>#payload` line over the tensor bytes after the
@@ -55,6 +56,10 @@ def script(out: Path) -> list[list[str]]:
            "--algorithms", "nn_est,nn_detect,signalnet", "--n", n, *SNR,
            "--seed", "16", "--out", out / name] for n, name in (("100", "eval_nn.csv"),
                                                                ("300", "eval_nn_n300.csv"))),
+        # classical and nn rows from one command, and the bits=1 skip of a
+        # bundle trained at 3 bits
+        ["eval", "--bundle", out / "bundle", "--m-max", "2", "--algorithms", "all",
+         "--bits", "1,3", "--n", "6", *SNR, "--seed", "17", "--out", out / "eval_all.csv"],
         *(["ood", "--est-ckpt", out / "est_m2.ckpt", "--m", "2", "--bits", "3", "--n", n, *SNR,
            "--seed", "15", "--out", out / name] for n, name in (("100", "ood.csv"),
                                                               ("321", "ood_n321.csv"))),
