@@ -2,7 +2,8 @@
 
 Library layout:
 
-* :mod:`qsine.signals`   frame synthesis, noise, normalization, datasets
+* :mod:`qsine.tones`     IQ frame layout, tone synthesis and tone cancellation
+* :mod:`qsine.signals`   labels, noise, normalization, datasets
 * :mod:`qsine.quantize`  uniform b-bit quantizer and Bussgang linearization
 * :mod:`qsine.losses`    detection / estimation losses and Chamfer metrics
 * :mod:`qsine.thresholds` analytic learning thresholds (constant-estimator losses)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantize import Quantizer, bussgang_linearize
-from .signals import TWO_PI, ParameterSet
+from .signals import ParameterSet
+from .tones import TWO_PI, to_complex
 
 DEFAULT_NFFT = 2**16
 EIG_CHUNK = 32  # frames per stacked eigvalsh call; 64 raised peak RSS by 1 MB
@@ -57,14 +58,9 @@ def _complex_frames(X: np.ndarray, qspec: Quantizer | None) -> np.ndarray:
     """(B, N) complex frames from a (B, N, 2) IQ stack, Bussgang-linearized
     when qspec is given."""
     X = np.asarray(X)
-    if X.ndim != 3 or X.shape[2] != 2:
+    if X.ndim != 3:
         raise ValueError(f"expected a (B, N, 2) IQ stack, got shape {X.shape}")
-    flat = X.reshape(-1, 2)
-    if qspec is not None:
-        z = bussgang_linearize(flat, qspec)
-    else:
-        z = flat[:, 0] + 1j * flat[:, 1]
-    return z.reshape(len(X), -1)
+    return to_complex(X) if qspec is None else bussgang_linearize(X, qspec)
 
 
 def zero_padded_dft(x: np.ndarray, nfft: int = DEFAULT_NFFT) -> SpectrumEstimate:

@@ -84,6 +84,7 @@ EIGEN_ALGORITHMS = {"aic", "mdl", "aic_periodogram"}  # read --L
 
 _TAG_EVAL = 3000
 _TAG_OOD = 3100
+# keeps the optimizer and shuffle streams disjoint from the data substreams
 _TAG_TRAIN_LOOP = 4242
 
 # frames drawn for training when --samples is not given
@@ -179,11 +180,6 @@ def _db(value: float) -> float:
     return 10.0 * math.log10(max(value, 1e-300))
 
 
-def _train_loop_seed(seed: int) -> int:
-    # keep optimizer/shuffle streams disjoint from the data substreams
-    return _cell_seed(seed, _TAG_TRAIN_LOOP)
-
-
 def available_cpus() -> int:
     """CPUs this process may run on (its affinity set where the OS has one)."""
     try:
@@ -272,13 +268,8 @@ def cmd_generate(args) -> int:
 # --------------------------------------------------------------------------
 
 def _train_config(args) -> TrainConfig:
-    cfg = TrainConfig(seed=_train_loop_seed(args.seed))
-    if args.lr is not None:
-        cfg.lr = args.lr
-    if args.batch_size is not None:
-        cfg.batch_size = args.batch_size
-    if args.patience is not None:
-        cfg.patience = args.patience
+    cfg = TrainConfig(seed=_cell_seed(args.seed, _TAG_TRAIN_LOOP), lr=args.lr,
+                      batch_size=args.batch_size, patience=args.patience)
     if args.epochs is not None:
         cfg.detection_epochs = cfg.estimator_epochs = args.epochs
     return cfg
@@ -475,8 +466,7 @@ def _eval_estimator_cell(args, bits, m, snr, qspec, chain, periodogram):
                                                      args.nfft))
     if chain is not None:
         rows += _estimate_rows(args, "nn_est", bits, m, snr, cell,
-                               estimator_forward_batch(
-                                   chain, cell.x.astype(np.float32)))
+                               estimator_forward_batch(chain, cell.x))
     return rows
 
 
@@ -485,7 +475,6 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, wanted):
     if not wanted - {"periodogram", "nn_est"}:
         return []
     cell = _cell_examples(args, bits, 0, snr, _TAG_EVAL)
-    X = cell.x.astype(np.float32)
 
     def row(algo, metric, value):
         return (algo, bits, "joint", snr, metric, value, len(cell), args.seed)
@@ -497,12 +486,12 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, wanted):
     if {"nn_detect", "signalnet"} & wanted:
         # signalnet's count is the detector's: one forward serves both
         counts["nn_detect"] = counts["signalnet"] = detect_count_batch(
-            bundle.detection, X)
+            bundle.detection, cell.x)
     rows = [row(algo, "detection_loss",
                 float(np.mean(detection_loss(cell.counts, pred))))
             for algo, pred in counts.items() if algo in wanted]
     if "signalnet" in wanted:
-        est = estimate_by_count(bundle, X, counts["signalnet"])
+        est = estimate_by_count(bundle, cell.x, counts["signalnet"])
         rows.append(row("signalnet", "chamfer_norm", _chamfer_norm(
             cell, counts["signalnet"], est, args.frame_len)))
     if "aic_periodogram" in wanted:
@@ -534,7 +523,7 @@ def _ood_cell(args, chain, snr, mode):
     bits, m = args.bits_int, args.m
     cell = _cell_examples(args, bits, m, snr, _TAG_OOD,
                           freq_mode=FREQ_MODES[mode])
-    est = estimator_forward_batch(chain, cell.x.astype(np.float32))
+    est = estimator_forward_batch(chain, cell.x)
     return _estimate_rows(args, "nn_est", bits, m, snr, cell, est, mode)
 
 
@@ -616,9 +605,9 @@ def build_parser() -> _Parser:
     t.add_argument("--m", type=int, default=None)
     t.add_argument("--samples", type=int, default=None)
     t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--batch-size", type=int, default=None)
-    t.add_argument("--lr", type=float, default=None)
-    t.add_argument("--patience", type=int, default=None)
+    t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    t.add_argument("--lr", type=float, default=TrainConfig.lr)
+    t.add_argument("--patience", type=int, default=TrainConfig.patience)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="SNR sweep -> metrics CSV")

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tones import to_complex
+
 SIGMA_NORMALIZED = 1.0 / math.sqrt(2.0)
 
 
@@ -27,10 +29,6 @@ class Quantizer:
     bits: int
     levels: np.ndarray      # 2^b ascending values in [-1, 1]
     thresholds: np.ndarray  # 2^b - 1 midpoints
-
-    def __post_init__(self):
-        object.__setattr__(self, "levels", np.asarray(self.levels, dtype=np.float64))
-        object.__setattr__(self, "thresholds", np.asarray(self.thresholds, dtype=np.float64))
 
 
 def make_quantizer(bits: int) -> Quantizer:
@@ -88,14 +86,7 @@ def bussgang_gain(spec: Quantizer, sigma: float) -> float:
 
 
 def bussgang_linearize(x: np.ndarray, spec: Quantizer) -> np.ndarray:
-    """Undoes the Bussgang gain of an (N, 2) IQ matrix X: returns the complex
-    frame (X[:,0] + j X[:,1]) / G.
-
-    Assumes the pre-quantization frame was unit-power normalized, so the
-    per-component standard deviation is 1/sqrt(2).
-    """
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[1] != 2:
-        raise ValueError(f"expected an (N, 2) IQ matrix, got shape {x.shape}")
-    gain = bussgang_gain(spec, SIGMA_NORMALIZED)
-    return (x[:, 0] + 1j * x[:, 1]) / gain
+    """Undoes the Bussgang gain G of a (..., N, 2) IQ stack: its complex
+    (..., N) frames / G, for frames that were unit-power normalized before
+    quantization (per-component standard deviation 1/sqrt(2))."""
+    return to_complex(x) / bussgang_gain(spec, SIGMA_NORMALIZED)

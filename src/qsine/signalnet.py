@@ -38,8 +38,9 @@ from .nn import (
 )
 from .losses import LossVector, detection_loss, effective_loss
 from .nn.checkpoint import load_chain, load_network, save_chain, save_network
-from .signals import TWO_PI, Dataset, ParameterSet, substream
+from .signals import Dataset, ParameterSet, substream
 from .thresholds import estimation_thresholds
+from .tones import cancel_tone
 
 _TAG_SPLIT = 7000
 _TAG_EPOCH = 7001
@@ -54,27 +55,6 @@ DETECTION_LOSS_ROWS = 1024
 ESTIMATOR_LOSS_ROWS = 2048
 # dropout rate before the detector's dense layers
 DETECTION_DROPOUT = 0.7
-
-
-# --------------------------------------------------------------------------
-# tone cancellation
-# --------------------------------------------------------------------------
-
-def _cancel_tone(R, f, N):
-    """(B, N, 2) residuals minus their least-squares tone at frequencies f.
-
-    Frames are power-normalized and quantized, so a tone's size in the frame
-    is not its label amplitude; the tone at the block's frequency estimate
-    is refit in frame units (amplitude and phase) and subtracted.
-    """
-    # unit tones e = exp(j 2 pi f n) per row, the residuals r as complex,
-    # and the least-squares coefficients c = e^H r / N of r along e
-    n = np.arange(N, dtype=R.dtype)
-    e = np.exp(1j * (TWO_PI * f[:, None] * n))
-    r = R[..., 0] + 1j * R[..., 1]
-    c = (e.conj() * r).sum(axis=1) / N
-    out = r - c[:, None] * e
-    return np.stack([out.real, out.imag], axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -190,7 +170,7 @@ def _forward_chain(est: SinusoidEstimator, X: np.ndarray, train: bool):
         f_cols.append(vals["freq"][:, 0])
         p_cols.append(vals["phase"][:, 0])
         if k + 1 < est.m:
-            R = _cancel_tone(R, f_cols[-1], est.N)
+            R = cancel_tone(R, f_cols[-1])
     return np.stack(a_cols, 1), np.stack(f_cols, 1), np.stack(p_cols, 1)
 
 
@@ -275,6 +255,9 @@ def _fit(cfg: TrainConfig, epochs: int, tr: np.ndarray, batch_grads, eval_val,
 
     batch_grads(rows) leaves the gradients of those rows on the networks and
     returns their mean loss; eval_val() returns the validation loss."""
+    if epochs > 0 and min(cfg.batch_size, len(tr)) < 2:
+        raise ValueError(f"batch size {cfg.batch_size} and {len(tr)} training "
+                         "row(s) give no batch of the 2 rows BatchNorm needs")
     history = []
     best = np.inf
     best_snap = None

@@ -5,11 +5,11 @@ A frame is N complex baseband samples
     u[n] = sum_i a_i * exp(j*(2*pi*f_i*n + phi_i)),   n = 0..N-1,
 
 with normalized frequencies f_i in (0, 0.5) cycles/sample. One labeled
-example draws its label (`draw_parameters`), synthesizes u, adds complex
-Gaussian noise at its SNR, scales the noisy frame to unit average per-sample
-power (||s||^2 = N, so each real component is approximately Normal(0, 1/2)
-for the Bussgang linearization downstream), quantizes it (see
-qsine.quantize) and stores it as an N x 2 real IQ matrix [Re | Im].
+example draws its label (`draw_parameters`), synthesizes u (see
+qsine.tones), adds complex Gaussian noise at its SNR, scales the noisy frame
+to unit average per-sample power (||s||^2 = N, so each real component is
+approximately Normal(0, 1/2) for the Bussgang linearization downstream),
+quantizes it (see qsine.quantize) and stores it as an N x 2 IQ matrix.
 
 A generated or loaded dataset is a `Dataset`: one array per field, row i
 holding example i (the IQ frames, counts, padded labels and SNRs). It
@@ -35,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantize import make_quantizer, quantize
-
-TWO_PI = 2.0 * math.pi
+from .tones import TWO_PI, to_complex, to_iq, tone_sum
 
 # phase 2 of make_dataset handles at most this many frames of a count group
 # at once: its (frames, N, m) temporaries stay below a peak RSS that per-frame
@@ -317,21 +316,11 @@ def make_dataset(cfg: GenConfig, count: int) -> Dataset:
         group = np.flatnonzero(counts == m)
         for start in range(0, len(group), GROUP_CHUNK):
             rows = group[start : start + GROUP_CHUNK]
-            u = _synthesize_rows(amps[rows, :m], freqs[rows, :m], phases[rows, :m], N)
-            noise = x[rows]
-            y = u + noise[..., 0] + 1j * noise[..., 1]
-            z = quantize(_normalize_rows(y), spec)
-            x[rows, :, 0] = z.real
-            x[rows, :, 1] = z.imag
+            u = tone_sum(amps[rows, :m], freqs[rows, :m], phases[rows, :m], N)
+            z = quantize(_normalize_rows(u + to_complex(x[rows])), spec)
+            x[rows] = to_iq(z)
     return Dataset(x=x, counts=counts, amps=amps, freqs=freqs, phases=phases,
                    snr_db=snrs)
-
-
-def _synthesize_rows(A: np.ndarray, F: np.ndarray, P: np.ndarray, N: int) -> np.ndarray:
-    # the noiseless frame u of each row of the (B, m) label arrays -> (B, N)
-    n = np.arange(N, dtype=np.float64)
-    angles = TWO_PI * (n[:, None] * F[:, None, :]) + P[:, None, :]
-    return (A[:, None, :] * np.exp(1j * angles)).sum(axis=2)
 
 
 def _normalize_rows(y: np.ndarray) -> np.ndarray:

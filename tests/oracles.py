@@ -13,7 +13,9 @@ import math
 
 import numpy as np
 
-from qsine.signals import TWO_PI, ParameterSet, _noise_sigma
+from qsine.signals import ParameterSet, _noise_sigma
+
+TWO_PI = 2.0 * math.pi
 
 
 def synthesize(params: ParameterSet, N: int) -> np.ndarray:

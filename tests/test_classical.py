@@ -19,7 +19,8 @@ from qsine.classical import (
     zero_padded_dft,
 )
 from qsine.quantize import bussgang_linearize, make_quantizer, quantize
-from qsine.signals import TWO_PI, GenConfig, ParameterSet, make_dataset, substream
+from qsine.signals import GenConfig, ParameterSet, make_dataset, substream
+from qsine.tones import TWO_PI
 
 
 def _tone_frame(amps, freqs, phases, N=64):

@@ -780,6 +780,23 @@ class TestTrainCommand:
         _, rows = _read_csv(Path(ckpt + ".log.csv").read_text())
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("flags, batch, rows", [
+        (["--samples", "40", "--batch-size", "1"], 1, 36),
+        (["--samples", "2"], 32, 1),
+        (["--samples", "40", "--batch-size", "0"], 0, 36)])
+    def test_no_batch_of_two_rows_is_a_data_error(self, capsys, tmp_path, flags,
+                                                   batch, rows):
+        # BatchNorm needs two rows a batch: a run that can form no such batch
+        # exits 2 naming both sizes, and one that trains no epoch still works
+        ckpt = tmp_path / "det.ckpt"
+        argv = ["train", "--task", "detection", *flags, "--out", str(ckpt)]
+        code, _, err = _run(capsys, [*argv, "--epochs", "1"])
+        assert code == 2
+        assert f"batch size {batch} and {rows} training row(s)" in err
+        assert not ckpt.exists()
+        code, _, _ = _run(capsys, [*argv, "--epochs", "0"])
+        assert code == 0 and ckpt.exists()
+
     @pytest.mark.parametrize("task", [["detection"], ["estimator", "--m", "1"]])
     def test_frames_freed_before_training(self, capsys, tmp_path, monkeypatch, task):
         # the command keeps one copy of its frames: the float64 dataset is

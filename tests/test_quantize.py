@@ -125,6 +125,11 @@ class TestBussgang:
         zq = quantize(z, q)
         g = bussgang_gain(q, SIGMA_NORMALIZED)
         npt.assert_allclose(bussgang_linearize(to_iq(zq), q), zq / g, rtol=1e-12)
+        # a (B, N, 2) stack linearizes to the bytes of its frames one by one
+        X = np.stack([to_iq(quantize(rng.normal(size=32) + 1j * rng.normal(size=32), q))
+                      for _ in range(5)])
+        npt.assert_array_equal(bussgang_linearize(X, q),
+                               [bussgang_linearize(x, q) for x in X])
 
     def test_linearize_rejects_complex_frame(self):
         with pytest.raises(ValueError, match="IQ matrix"):

@@ -1,11 +1,15 @@
 """Detection/estimator architectures, chain gradients, chunked inference,
 training, bundles."""
+import ast
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import conftest
 from gradcheck import finite_diff_check
 from oracles import synthesize, to_iq
 from qsine import signalnet
@@ -19,7 +23,6 @@ from qsine.signalnet import (
     SignalNetModel,
     SinusoidEstimator,
     TrainConfig,
-    _cancel_tone,
     _detection_probs,
     _eval_estimator_loss,
     _mean_count_loss,
@@ -43,6 +46,7 @@ from qsine.signalnet import (
     train_estimator,
 )
 from qsine.losses import detection_loss
+from qsine.tones import cancel_tone
 
 
 def _batch(seed, B=6, N=64):
@@ -67,7 +71,7 @@ class TestReconstruction:
         other = _tone(0.5, 0.25, 1.0, N)
         R = np.stack([to_iq(_tone(a, fi, p, N) + other)
                       for a, fi, p in zip((0.05, 7.0), f, (0.3, 2.0))])
-        out = _cancel_tone(R, f, N)
+        out = cancel_tone(R, f)
         assert out.shape == (2, N, 2)
         for i in range(2):
             npt.assert_allclose(out[i], to_iq(other), atol=1e-12)
@@ -320,15 +324,14 @@ class TestTrainingGradients:
         # central differences are the gradients of both blocks. Downstream
         # relu/maxpool kinks make large FD steps unreliable, so the chain
         # check runs at a smaller h with a looser bar.
-        real = signalnet._cancel_tone
         frozen = []
 
-        def cancel_once(R, f, N):
+        def cancel_once(R, f):
             if not frozen:  # the unperturbed forward of _estimator_fd
-                frozen.append(real(R, f, N))
+                frozen.append(cancel_tone(R, f))
             return frozen[0]
 
-        monkeypatch.setattr(signalnet, "_cancel_tone", cancel_once)
+        monkeypatch.setattr(signalnet, "cancel_tone", cancel_once)
         est = build_estimator(2, seed=8)
         X = _batch(35, B=6)
         At, Ft, Pt = _targets(36, 6, 2)
@@ -567,3 +570,44 @@ class TestBundle:
                         estimator_forward_batch(new.estimators[m], X)):
                 for g, w in zip(got, want):
                     assert g.tobytes() == w.tobytes(), m
+
+
+# --------------------------------------------------------------------------
+# the test model cache's key
+# --------------------------------------------------------------------------
+
+def _package_files(module: str) -> set[Path]:
+    """The source files of `module` and of every qsine module it imports,
+    followed transitively through the import statements."""
+    root = Path(signalnet.__file__).resolve().parent
+    files, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        base = root.joinpath(*name.split(".")[1:])
+        path = base / "__init__.py" if base.is_dir() else base.with_suffix(".py")
+        # names outside qsine, and names imported from a module, have no file
+        if name.split(".")[0] != "qsine" or not path.is_file() or path in files:
+            continue
+        files.add(path)
+        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                source = importlib.util.resolve_name(
+                    "." * node.level + (node.module or ""), package)
+                todo += [source, *(f"{source}.{a.name}" for a in node.names)]
+            elif isinstance(node, ast.Import):
+                todo += [a.name for a in node.names]
+    return files
+
+
+def test_training_sources_cover_what_training_imports():
+    # cached checkpoints are keyed by a digest of the _TRAINING_SOURCES
+    # modules; a module that signalnet reaches but no pattern names could
+    # change the training bytes while the cache kept serving stale models
+    root = Path(signalnet.__file__).resolve().parent
+    listed = {path.resolve() for pattern in conftest._TRAINING_SOURCES
+              for path in root.glob(pattern)}
+    reached = _package_files("qsine.signalnet")
+    assert {root / "signals.py", root / "tones.py", root / "nn" / "layers.py"} <= reached
+    unlisted = sorted(str(path.relative_to(root)) for path in reached - listed)
+    assert not unlisted, f"modules training imports but the cache key skips: {unlisted}"

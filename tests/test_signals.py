@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from oracles import add_noise, normalize_power, synthesize, to_iq
-from qsine import signals
+from qsine import signals, tones
 from qsine.quantize import make_quantizer, quantize
 from qsine.signals import (
     Dataset,
@@ -71,6 +71,11 @@ class TestNoiseAndNormalization:
         x = to_iq(frame)
         assert x.shape == (10, 2)
         npt.assert_array_equal(x[:, 0] + 1j * x[:, 1], frame)
+        # the package's layout is the oracle's, for one frame and for a stack
+        npt.assert_array_equal(tones.to_iq(frame), x)
+        npt.assert_array_equal(tones.to_complex(x), frame)
+        stack = np.stack([frame, 2 * frame])
+        npt.assert_array_equal(tones.to_complex(tones.to_iq(stack)), stack)
 
 
 class TestDrawParameters:

@@ -3,11 +3,12 @@
     python3 tools/output_digests.py                      # this checkout
     python3 tools/output_digests.py --checkout <other>   # another checkout
 
-Runs `generate`, a tiny `train --task detection`, `--task estimator` and
-`--task bundle --m-max 2`, an estimator trained on 2,000 frames (200
-validation rows), `eval` of aic,mdl and of periodogram,aic_periodogram at
-bits 1 and 3, `eval` of nn_est,nn_detect,signalnet on the bundle at 100 and
-300 frames a cell, `eval` of all algorithms on the bundle at bits 1 and 3
+Runs `generate` (one dataset noiseless, `--snr inf`), a tiny `train --task
+detection`, `--task estimator` and `--task bundle --m-max 2`, an estimator
+trained on 2,000 frames (200 validation rows), `eval` of aic,mdl and of
+periodogram,aic_periodogram at bits 1 and 3, `eval` of
+nn_est,nn_detect,signalnet on the bundle at 100 and 300 frames a cell,
+`eval` of all algorithms on the bundle at bits 1 and 3
 (the bundle's nn algorithms are skipped at bits 1), `ood` on the trained
 estimator at 100 and 321 frames a cell, the same bundle, `eval` and `ood`
 at `--frame-len 32`, and `thresholds`, each as `python3 -m qsine.harness` with the checkout's
@@ -43,6 +44,8 @@ def script(out: Path) -> list[list[str]]:
          "--seed", "11", "--out", out / "gen"],
         ["generate", "--bits", "1", "--count", "200", "--m", "2", "--freq-mode", "ood",
          "--seed", "12", "--out", out / "gen_ood"],
+        ["generate", "--bits", "1", "--count", "200", "--snr", "inf", "--seed", "18",
+         "--out", out / "gen_noiseless"],
         ["train", "--task", "detection", *TRAIN, "--out", out / "det.ckpt"],
         ["train", "--task", "estimator", "--m", "2", *TRAIN, "--out", out / "est_m2.ckpt"],
         ["train", "--task", "bundle", "--m-max", "2", *TRAIN, "--out", out / "bundle"],
