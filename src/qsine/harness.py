@@ -90,6 +90,8 @@ _TAG_TRAIN_LOOP = 4242
 # frames drawn for training when --samples is not given
 DETECTION_SAMPLES = 50_000
 ESTIMATOR_SAMPLES = 100_000
+# their SNR range when --snr-min / --snr-max are not given
+TRAIN_SNR_RANGE = (-10.0, 10.0)
 
 
 # --------------------------------------------------------------------------
@@ -136,13 +138,14 @@ def _bits_list(text: str) -> list[int]:
     return vals
 
 
-def _check_sizes(args) -> None:
-    """Rejects --n and --m-max values that no cell could be drawn with."""
-    for flag in ("n", "m_max"):
+def _check_least(args, least: dict[str, int]) -> None:
+    """Rejects a flag below its least value; least maps a flag's dest to it,
+    and a flag left at None passes."""
+    for flag, low in least.items():
         value = getattr(args, flag)
-        if value < 1:
+        if value is not None and value < low:
             raise ValueError(
-                f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+                f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
 
 
 def _check_meta(path, meta: dict, flags: dict) -> None:
@@ -292,9 +295,11 @@ def _train_examples(args, m_fixed: int | None) -> Dataset:
     count = args.samples
     if count is None:
         count = DETECTION_SAMPLES if m_fixed is None else ESTIMATOR_SAMPLES
+    lo, hi = TRAIN_SNR_RANGE
+    snr_range = (lo if args.snr_min is None else args.snr_min,
+                 hi if args.snr_max is None else args.snr_max)
     gen = GenConfig(N=args.frame_len, M=args.m_max, bits=args.bits_int,
-                    seed=args.seed, m_fixed=m_fixed,
-                    snr_range=(args.snr_min, args.snr_max))
+                    seed=args.seed, m_fixed=m_fixed, snr_range=snr_range)
     return make_dataset(gen, count)
 
 
@@ -312,7 +317,21 @@ def _write_log(path: str, history: list[dict]):
     _write_csv(path, ["epoch", "train_loss", "val_loss", "lr"], rows)
 
 
+def _check_train_flags(args) -> None:
+    """Rejects frame flags that --data would ignore, and training flags out
+    of range; --epochs 0 writes an untrained checkpoint."""
+    if args.data is not None:
+        for flag in ("samples", "snr_min", "snr_max"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag.replace('_', '-')} does not apply "
+                                 f"with --data: {args.data} fixes the frames")
+    _check_least(args, {"epochs": 0, "patience": 1, "samples": 1})
+    if not (math.isfinite(args.lr) and args.lr > 0):
+        raise ValueError(f"--lr must be finite and > 0, got {args.lr}")
+
+
 def cmd_train(args) -> int:
+    _check_train_flags(args)
     cfg = _train_config(args)
     if args.task == "bundle":
         out = Path(args.out)
@@ -406,7 +425,7 @@ def _threshold_rows(args, bits: int, snr: float) -> list[tuple]:
 
 
 def cmd_eval(args) -> int:
-    _check_sizes(args)
+    _check_least(args, {"n": 1, "m_max": 1})
     grid = _snr_grid(args)
     bundle = load_signalnet(args.bundle) if args.bundle else None
     if bundle is not None:
@@ -506,7 +525,7 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, wanted):
 # --------------------------------------------------------------------------
 
 def cmd_ood(args) -> int:
-    _check_sizes(args)
+    _check_least(args, {"n": 1, "m_max": 1})
     est, meta = load_estimator(args.est_ckpt)
     if est.m != args.m:
         raise ValueError(
@@ -608,7 +627,8 @@ def build_parser() -> _Parser:
     t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     t.add_argument("--lr", type=float, default=TrainConfig.lr)
     t.add_argument("--patience", type=int, default=TrainConfig.patience)
-    t.set_defaults(func=cmd_train)
+    # None tells an SNR flag given alongside --data from an unset one
+    t.set_defaults(func=cmd_train, snr_min=None, snr_max=None)
 
     e = sub.add_parser("eval", help="SNR sweep -> metrics CSV")
     _add_shared(e, bits_default="1,3")
@@ -687,6 +707,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         _postprocess(args)
         _set_heap_policy()
+        # numpy.random imports secrets and so hashlib, whose OpenSSL backend
+        # maps libcrypto (3.4 MB) into the process; qsine seeds every
+        # generator and hashes nothing, so hashlib's builtin hashes serve
+        sys.modules.setdefault("_hashlib", None)
         return args.func(args)
     except SystemExit as exc:
         code = exc.code

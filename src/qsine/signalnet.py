@@ -49,7 +49,7 @@ _TAG_BLOCK_NET = 13
 
 # rows per forward-only pass, so inference memory is one chunk's activations
 # whatever the batch size (see _row_chunks)
-INFER_ROWS = 128
+INFER_ROWS = 64
 # rows per partial sum of the validation losses, which fix the logged bytes
 DETECTION_LOSS_ROWS = 1024
 ESTIMATOR_LOSS_ROWS = 2048
@@ -176,14 +176,15 @@ def _forward_chain(est: SinusoidEstimator, X: np.ndarray, train: bool):
 
 def _row_chunks(n: int) -> list[slice]:
     """Cuts rows 0..n at multiples of INFER_ROWS; a last chunk shorter than
-    INFER_ROWS // 2 joins the one before it, so n <= INFER_ROWS is one chunk.
+    INFER_ROWS joins the one before it. So n < 2 * INFER_ROWS rows run as one
+    chunk, and otherwise every chunk has INFER_ROWS to 2 * INFER_ROWS - 1 rows.
 
     The merge keeps the bytes of a whole-batch forward: OpenBLAS multiplies a
     product of few rows by other kernels (gemv for one row, a small-matrix
     kernel for two), which change the last bits, while every chunk of 64 rows
     or more gives each row the bits it has in the whole batch."""
     cuts = list(range(INFER_ROWS, n, INFER_ROWS))
-    if cuts and n - cuts[-1] < INFER_ROWS // 2:
+    if cuts and n - cuts[-1] < INFER_ROWS:
         cuts.pop()
     bounds = [0, *cuts, n]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]

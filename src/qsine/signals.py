@@ -38,9 +38,9 @@ from .quantize import make_quantizer, quantize
 from .tones import TWO_PI, to_complex, to_iq, tone_sum
 
 # phase 2 of make_dataset handles at most this many frames of a count group
-# at once: its (frames, N, m) temporaries stay below a peak RSS that per-frame
-# generation reaches anyway, and larger chunks ran no faster
-GROUP_CHUNK = 128
+# at once, so its (frames, N, m) temporaries stay small beside the frames
+# themselves; larger chunks ran no faster
+GROUP_CHUNK = 32
 
 # Give up on rejection sampling after this many attempts (probability ~0 for
 # sane configs; guards against a pathological config looping forever).
@@ -354,7 +354,7 @@ def save_dataset(base: str, cfg: GenConfig, dataset: Dataset) -> tuple[str, str]
     with open(labels_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(samples_path, "wb") as fh:
-        fh.write(np.ascontiguousarray(dataset.x, dtype="<f4").tobytes())
+        np.ascontiguousarray(dataset.x, dtype="<f4").tofile(fh)
     return labels_path, samples_path
 
 

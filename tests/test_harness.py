@@ -824,6 +824,41 @@ class TestTrainCommand:
         assert code == 0
         assert freed == [True]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--samples", "5"), ("--snr-min", "3"), ("--snr-max", "4")])
+    def test_data_rejects_frame_flags(self, capsys, tmp_path, flag, value):
+        # the dataset fixes the frames, so a frame flag beside --data would
+        # go unread
+        base = str(tmp_path / "ds")
+        _run(capsys, ["generate", "--out", base, "--count", "40", "--seed", "4"])
+        ckpt = tmp_path / "det.ckpt"
+        code, _, err = _run(capsys, [
+            "train", "--task", "detection", "--data", base, flag, value,
+            "--epochs", "1", "--out", str(ckpt)])
+        assert code == 2
+        assert f"{flag} does not apply with --data" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ds.labels.csv", "ds.samples.f32"]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epochs", "-1", "--epochs must be >= 0, got -1"),
+        ("--lr", "0", "--lr must be finite and > 0, got 0.0"),
+        ("--lr", "-0.5", "--lr must be finite and > 0, got -0.5"),
+        ("--lr", "nan", "--lr must be finite and > 0, got nan"),
+        ("--lr", "inf", "--lr must be finite and > 0, got inf"),
+        ("--patience", "0", "--patience must be >= 1, got 0"),
+        ("--samples", "0", "--samples must be >= 1, got 0")])
+    def test_training_flags_out_of_range(self, capsys, tmp_path, flag, value,
+                                         message):
+        for task in (["detection"], ["bundle", "--m-max", "1"]):
+            out = tmp_path / task[0]
+            code, _, err = _run(capsys, [
+                "train", "--task", *task, "--samples", "40", "--epochs", "1",
+                flag, value, "--out", str(out)])
+            assert code == 2, task
+            assert message in err, task
+            assert list(tmp_path.iterdir()) == [], task
+
     def test_estimator_requires_m(self, capsys, tmp_path):
         code, _, err = _run(capsys, [
             "train", "--task", "estimator", "--out",
@@ -893,6 +928,30 @@ class TestProcessSettings:
 
         assert run(_cli_env()) == "1,1,1"
         assert run(_cli_env(OPENBLAS_NUM_THREADS="2")) == "2,1,1"
+
+    def test_no_openssl_in_the_cli(self, tmp_path):
+        # numpy.random imports hashlib, whose OpenSSL backend would map
+        # libcrypto into every command that draws
+        probe = ("import json, sys\n"
+                 "from qsine.harness import main\n"
+                 f"code = main(['generate', '--count', '20', '--out', {str(tmp_path / 'g')!r}])\n"
+                 "try:\n"
+                 "    maps = open('/proc/self/maps').read()\n"
+                 "except OSError:\n"
+                 "    maps = None\n"
+                 "print(json.dumps({'code': code, 'random': 'numpy.random' in sys.modules,\n"
+                 "    'hashlib': sys.modules.get('_hashlib') is not None,\n"
+                 "    'libcrypto': None if maps is None else 'libcrypto' in maps}))\n")
+        run = subprocess.run([sys.executable, "-c", probe], env=_cli_env(),
+                             text=True, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE)
+        assert run.stderr == ""
+        got = json.loads(run.stdout.splitlines()[-1])
+        assert got["code"] == 0 and got["random"]
+        assert not got["hashlib"]
+        if got["libcrypto"] is None:
+            pytest.skip("no /proc/self/maps to read the mappings from")
+        assert not got["libcrypto"]
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap policy is set through glibc's mallopt")

@@ -165,9 +165,9 @@ class TestResidualChain:
 # --------------------------------------------------------------------------
 
 class TestChunkedInference:
-    # chunk edges, the tail merge below INFER_ROWS // 2 rows, and the
-    # 300-row cell of the benchmark (a 44-row tail) and a 65-row last chunk
-    NS = (1, 2, 63, 64, 127, 128, 129, 130, 191, 192, 193, 300, 321)
+    # chunk edges, the tail merge below INFER_ROWS rows, and the 300-row cell
+    # of the benchmark (a 108-row last chunk) and a 65-row last chunk
+    NS = (1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 300, 321)
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_chain_bytes_equal_whole_batch(self, m):
@@ -228,7 +228,7 @@ class TestChunkedInference:
         monkeypatch.setattr(signalnet, "INFER_ROWS", 8)
         net = build_detection_network(seed=96)
         est = build_estimator(2, seed=97)
-        X = _batch(98, B=20)
+        X = _batch(98, B=24)
         rows = []
         real = Network.forward
 
@@ -237,8 +237,8 @@ class TestChunkedInference:
             return real(self, x, train)
 
         monkeypatch.setattr(Network, "forward", counting)
-        for n, chunks in ((1, [1]), (8, [8]), (11, [11]), (12, [8, 4]),
-                          (19, [8, 11]), (20, [8, 8, 4])):
+        for n, chunks in ((1, [1]), (8, [8]), (15, [15]), (16, [8, 8]),
+                          (17, [8, 9]), (23, [8, 15]), (24, [8, 8, 8])):
             bounds = np.cumsum([0, *chunks])
             parts = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
             rows.clear()

@@ -3,10 +3,12 @@
     python3 tools/output_digests.py                      # this checkout
     python3 tools/output_digests.py --checkout <other>   # another checkout
 
-Runs `generate` (one dataset noiseless, `--snr inf`), a tiny `train --task
+Runs `generate` (one dataset noiseless, `--snr inf`, and one of 500 frames
+of one count, which crosses many 32-frame groups), a tiny `train --task
 detection`, `--task estimator` and `--task bundle --m-max 2`, an estimator
-trained on 2,000 frames (200 validation rows), `eval` of aic,mdl and of
-periodogram,aic_periodogram at bits 1 and 3, `eval` of
+trained on 2,000 frames (200 validation rows), a detector and an m = 3
+estimator trained with `--data` on the script's own datasets, `eval` of
+aic,mdl and of periodogram,aic_periodogram at bits 1 and 3, `eval` of
 nn_est,nn_detect,signalnet on the bundle at 100 and 300 frames a cell,
 `eval` of all algorithms on the bundle at bits 1 and 3
 (the bundle's nn algorithms are skipped at bits 1), `ood` on the trained
@@ -19,8 +21,8 @@ manifest, which tells a manifest-only change from a weight change. Two
 checkouts that print the same lines wrote byte-identical datasets,
 checkpoints, training logs and CSVs. A command that fails stops the script
 with its exit code.
-The larger sizes cross the 128-row inference chunks: 300 rows end in a
-merged 44-row tail, 321 in a 65-row last chunk.
+The larger sizes cross the 64-row inference chunks: 300 rows split as
+64+64+64+108, and 321 rows end in a 65-row chunk.
 """
 from __future__ import annotations
 
@@ -34,8 +36,9 @@ import tempfile
 from pathlib import Path
 
 SNR = ["--snr-min", "-10", "--snr-max", "10", "--snr-step", "10"]
-TRAIN = ["--bits", "3", "--samples", "240", "--epochs", "2", "--patience", "2",
-         "--batch-size", "8", "--snr-min", "0", "--snr-max", "20", "--seed", "7"]
+FIT = ["--bits", "3", "--epochs", "2", "--patience", "2", "--batch-size", "8",
+       "--seed", "7"]
+TRAIN = [*FIT, "--samples", "240", "--snr-min", "0", "--snr-max", "20"]
 
 
 def script(out: Path) -> list[list[str]]:
@@ -46,6 +49,12 @@ def script(out: Path) -> list[list[str]]:
          "--seed", "12", "--out", out / "gen_ood"],
         ["generate", "--bits", "1", "--count", "200", "--snr", "inf", "--seed", "18",
          "--out", out / "gen_noiseless"],
+        ["generate", "--bits", "3", "--count", "500", "--m", "3", "--snr-spread", "true",
+         "--seed", "19", "--out", out / "gen_m3"],
+        # the load-then-train path of the benchmark's train workload
+        ["train", "--task", "detection", *FIT, "--data", out / "gen", "--out", out / "det_data.ckpt"],
+        ["train", "--task", "estimator", "--m", "3", *FIT, "--data", out / "gen_m3",
+         "--out", out / "est_m3_data.ckpt"],
         ["train", "--task", "detection", *TRAIN, "--out", out / "det.ckpt"],
         ["train", "--task", "estimator", "--m", "2", *TRAIN, "--out", out / "est_m2.ckpt"],
         ["train", "--task", "bundle", "--m-max", "2", *TRAIN, "--out", out / "bundle"],
