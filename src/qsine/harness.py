@@ -14,6 +14,11 @@ serialized with repr, so reruns are byte-identical. ``eval`` and ``ood``
 score their cells in forked worker processes, one per CPU of the process's
 affinity set; the bytes do not depend on the worker count. Exit codes:
 0 success, 1 usage error, 2 data/model error.
+
+Each command imports the modules it runs when it runs: ``generate`` and
+``--version`` load only signals, quantize and tones; ``eval`` loads
+signalnet and nn only for a bundle. Names are looked up in their module at
+call time, so a wrapper installed on a module attribute sees every call.
 """
 from __future__ import annotations
 
@@ -38,37 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classical import (
-    aic_mdl_counts,
-    check_nfft,
-    check_window,
-    periodogram_estimates,
-)
-from .losses import detection_loss, normalized_chamfer_batch
 from .quantize import make_quantizer
 from .signals import Dataset, GenConfig, load_dataset, make_dataset, save_dataset
-from .signalnet import (
-    TrainConfig,
-    SignalNetModel,
-    detect_count_batch,
-    estimate_by_count,
-    estimator_forward_batch,
-    load_estimator,
-    load_signalnet,
-    save_estimator,
-    save_network,
-    save_signalnet,
-    train_detection,
-    train_estimator,
-)
-from .thresholds import (
-    amplitude_threshold,
-    detection_threshold,
-    estimation_thresholds,
-    frequency_threshold,
-    mean_frequency_estimator,
-    phase_threshold,
-)
 
 EVAL_HEADER = ["algorithm", "bits", "m", "snr_db", "metric", "value",
                "n_trials", "seed"]
@@ -90,8 +66,9 @@ _TAG_TRAIN_LOOP = 4242
 # frames drawn for training when --samples is not given
 DETECTION_SAMPLES = 50_000
 ESTIMATOR_SAMPLES = 100_000
-# their SNR range when --snr-min / --snr-max are not given
-TRAIN_SNR_RANGE = (-10.0, 10.0)
+# the SNR range of drawn SNRs (train, generate --snr-spread true) where
+# --snr-min / --snr-max are not given
+SPREAD_SNR_RANGE = (-10.0, 10.0)
 
 
 # --------------------------------------------------------------------------
@@ -136,6 +113,14 @@ def _bits_list(text: str) -> list[int]:
     if min(vals) < 1:
         raise ValueError(f"--bits must be >= 1, got {text!r}")
     return vals
+
+
+def _spread_snr_range(args) -> tuple[float, float]:
+    """--snr-min and --snr-max, each SPREAD_SNR_RANGE's bound when not
+    given."""
+    lo, hi = SPREAD_SNR_RANGE
+    return (lo if args.snr_min is None else args.snr_min,
+            hi if args.snr_max is None else args.snr_max)
 
 
 def _check_least(args, least: dict[str, int]) -> None:
@@ -249,11 +234,17 @@ def _sweep(args, header: list[str], rows: list[tuple], cells: list[tuple]):
 # --------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    _check_least(args, {"seed": 0, "count": 1})
+    if not args.snr_spread:
+        for flag in ("snr_min", "snr_max"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag.replace('_', '-')} applies only "
+                                 "with --snr-spread true")
     cfg = GenConfig(
         N=args.frame_len, M=args.m_max, bits=args.bits_int, seed=args.seed,
         m_fixed=args.m, freq_mode=FREQ_MODES[args.freq_mode],
         snr_db=args.snr,
-        snr_range=(args.snr_min, args.snr_max) if args.snr_spread else None,
+        snr_range=_spread_snr_range(args) if args.snr_spread else None,
     )
     dataset = make_dataset(cfg, args.count)
     labels_path, samples_path = save_dataset(args.out, cfg, dataset)
@@ -270,9 +261,14 @@ def cmd_generate(args) -> int:
 # train
 # --------------------------------------------------------------------------
 
-def _train_config(args) -> TrainConfig:
-    cfg = TrainConfig(seed=_cell_seed(args.seed, _TAG_TRAIN_LOOP), lr=args.lr,
-                      batch_size=args.batch_size, patience=args.patience)
+def _train_config(args):
+    """The TrainConfig of the flags; a flag not given keeps its default."""
+    from .signalnet import TrainConfig
+
+    cfg = TrainConfig(seed=_cell_seed(args.seed, _TAG_TRAIN_LOOP))
+    for field in ("lr", "batch_size", "patience"):
+        if getattr(args, field) is not None:
+            setattr(cfg, field, getattr(args, field))
     if args.epochs is not None:
         cfg.detection_epochs = cfg.estimator_epochs = args.epochs
     return cfg
@@ -295,17 +291,17 @@ def _train_examples(args, m_fixed: int | None) -> Dataset:
     count = args.samples
     if count is None:
         count = DETECTION_SAMPLES if m_fixed is None else ESTIMATOR_SAMPLES
-    lo, hi = TRAIN_SNR_RANGE
-    snr_range = (lo if args.snr_min is None else args.snr_min,
-                 hi if args.snr_max is None else args.snr_max)
     gen = GenConfig(N=args.frame_len, M=args.m_max, bits=args.bits_int,
-                    seed=args.seed, m_fixed=m_fixed, snr_range=snr_range)
+                    seed=args.seed, m_fixed=m_fixed,
+                    snr_range=_spread_snr_range(args))
     return make_dataset(gen, count)
 
 
-def _train_model(args, cfg: TrainConfig, m: int | None):
+def _train_model(args, cfg, m: int | None):
     """Trains the count detector (m None) or the m-sinusoid chain; returns
     (model, history). The frames go unnamed, so training can free them."""
+    from .signalnet import train_detection, train_estimator
+
     if m is None:
         return train_detection(_train_examples(args, m), cfg, M=args.m_max)
     return train_estimator(_train_examples(args, m), cfg)
@@ -318,20 +314,28 @@ def _write_log(path: str, history: list[dict]):
 
 
 def _check_train_flags(args) -> None:
-    """Rejects frame flags that --data would ignore, and training flags out
-    of range; --epochs 0 writes an untrained checkpoint."""
+    """Rejects flags that the task or --data would ignore, and training
+    flags out of range; --epochs 0 writes an untrained checkpoint."""
+    if args.task == "estimator" and args.m is None:
+        raise ValueError("--m is required for --task estimator")
+    if args.task != "estimator" and args.m is not None:
+        raise ValueError(f"--m does not apply with --task {args.task}: it "
+                         f"covers every count up to --m-max {args.m_max}")
     if args.data is not None:
         for flag in ("samples", "snr_min", "snr_max"):
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag.replace('_', '-')} does not apply "
                                  f"with --data: {args.data} fixes the frames")
-    _check_least(args, {"epochs": 0, "patience": 1, "samples": 1})
-    if not (math.isfinite(args.lr) and args.lr > 0):
+    _check_least(args, {"epochs": 0, "patience": 1, "samples": 1, "seed": 0})
+    if args.lr is not None and not (math.isfinite(args.lr) and args.lr > 0):
         raise ValueError(f"--lr must be finite and > 0, got {args.lr}")
 
 
 def cmd_train(args) -> int:
     _check_train_flags(args)
+    from .signalnet import (SignalNetModel, save_estimator, save_network,
+                            save_signalnet)
+
     cfg = _train_config(args)
     if args.task == "bundle":
         out = Path(args.out)
@@ -353,8 +357,6 @@ def cmd_train(args) -> int:
                      meta={"task": "detection", "bits": args.bits_int,
                            "N": args.frame_len, "M": args.m_max})
     else:
-        if args.m is None:
-            raise ValueError("--m is required for --task estimator")
         est, history = _train_model(args, cfg, args.m)
         save_estimator(est, args.out, bits=args.bits_int)
     _write_log(args.out + ".log.csv", history)
@@ -380,6 +382,9 @@ def _estimate_rows(args, algo: str, bits: int, m: int, snr: float,
                    cell: Dataset, est, *tail) -> list[tuple]:
     """The metric rows of a count-m cell's estimates est = (A, F, P), each
     ending with tail; float32 network heads are scored in float64."""
+    from .losses import normalized_chamfer_batch
+    from .thresholds import estimation_thresholds
+
     A, F, P = (np.asarray(h, dtype=np.float64) for h in est)
     At, Ft, Pt = cell.amps, cell.freqs, cell.phases
     cham = normalized_chamfer_batch((At, Ft, Pt), (A, F, P),
@@ -396,6 +401,9 @@ def _chamfer_norm(cell: Dataset, est_counts, est, N: int) -> float:
     """Mean normalized Chamfer of a mixed-count cell against estimates with
     their own counts (est: padded (amps, freqs, phases) arrays, as in a
     Dataset), scored in one pass per (true count, estimated count) group."""
+    from .losses import normalized_chamfer_batch
+    from .thresholds import estimation_thresholds
+
     cham = np.empty(len(cell))
     truth = (cell.amps, cell.freqs, cell.phases)
     for m in np.unique(cell.counts).tolist():
@@ -410,6 +418,8 @@ def _chamfer_norm(cell: Dataset, est_counts, est, N: int) -> float:
 
 
 def _threshold_rows(args, bits: int, snr: float) -> list[tuple]:
+    from .thresholds import detection_threshold, estimation_thresholds
+
     rows = []
     for m in range(1, args.m_max + 1):
         thr = estimation_thresholds(m, args.frame_len)
@@ -425,16 +435,24 @@ def _threshold_rows(args, bits: int, snr: float) -> list[tuple]:
 
 
 def cmd_eval(args) -> int:
-    _check_least(args, {"n": 1, "m_max": 1})
+    _check_least(args, {"n": 1, "m_max": 1, "seed": 0})
     grid = _snr_grid(args)
-    bundle = load_signalnet(args.bundle) if args.bundle else None
-    if bundle is not None:
+    # the modules the cells call are imported here, before the workers fork
+    bundle = None
+    if args.bundle:
+        from .signalnet import load_signalnet
+
+        bundle = load_signalnet(args.bundle)
         _check_meta(args.bundle, {"N": bundle.N},
                     {"N": ("--frame-len", args.frame_len)})
     algorithms = _select_algorithms(args, bundle)
     if PERIODOGRAM_ALGORITHMS & algorithms:
+        from .classical import check_nfft
+
         check_nfft(args.nfft, args.frame_len)
     if EIGEN_ALGORITHMS & algorithms:
+        from .classical import check_window
+
         check_window(args.L, args.m_max, args.frame_len)
     rows: list[tuple] = []
     cells: list[tuple] = []
@@ -480,10 +498,14 @@ def _eval_estimator_cell(args, bits, m, snr, qspec, chain, periodogram):
     cell = _cell_examples(args, bits, m, snr, _TAG_EVAL)
     rows = []
     if periodogram:
+        from .classical import periodogram_estimates
+
         rows += _estimate_rows(args, "periodogram", bits, m, snr, cell,
                                periodogram_estimates(cell.x, m, qspec,
                                                      args.nfft))
     if chain is not None:
+        from .signalnet import estimator_forward_batch
+
         rows += _estimate_rows(args, "nn_est", bits, m, snr, cell,
                                estimator_forward_batch(chain, cell.x))
     return rows
@@ -491,6 +513,8 @@ def _eval_estimator_cell(args, bits, m, snr, qspec, chain, periodogram):
 
 def _eval_joint_cell(args, bits, snr, qspec, bundle, wanted):
     """Scores the mixed-count cell; returns the rows."""
+    from .losses import detection_loss
+
     if not wanted - {"periodogram", "nn_est"}:
         return []
     cell = _cell_examples(args, bits, 0, snr, _TAG_EVAL)
@@ -500,9 +524,13 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, wanted):
 
     counts = {}  # each count-picking algorithm's count per frame
     if EIGEN_ALGORITHMS & wanted:
+        from .classical import aic_mdl_counts
+
         counts["aic"], counts["mdl"] = aic_mdl_counts(cell.x, qspec, L=args.L,
                                                       Mmax=args.m_max)
     if {"nn_detect", "signalnet"} & wanted:
+        from .signalnet import detect_count_batch
+
         # signalnet's count is the detector's: one forward serves both
         counts["nn_detect"] = counts["signalnet"] = detect_count_batch(
             bundle.detection, cell.x)
@@ -510,10 +538,14 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, wanted):
                 float(np.mean(detection_loss(cell.counts, pred))))
             for algo, pred in counts.items() if algo in wanted]
     if "signalnet" in wanted:
+        from .signalnet import estimate_by_count
+
         est = estimate_by_count(bundle, cell.x, counts["signalnet"])
         rows.append(row("signalnet", "chamfer_norm", _chamfer_norm(
             cell, counts["signalnet"], est, args.frame_len)))
     if "aic_periodogram" in wanted:
+        from .classical import periodogram_estimates
+
         est = periodogram_estimates(cell.x, counts["aic"], qspec, args.nfft)
         rows.append(row("aic_periodogram", "chamfer_norm", _chamfer_norm(
             cell, counts["aic"], est, args.frame_len)))
@@ -525,7 +557,9 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, wanted):
 # --------------------------------------------------------------------------
 
 def cmd_ood(args) -> int:
-    _check_least(args, {"n": 1, "m_max": 1})
+    _check_least(args, {"n": 1, "m_max": 1, "seed": 0})
+    from .signalnet import load_estimator
+
     est, meta = load_estimator(args.est_ckpt)
     if est.m != args.m:
         raise ValueError(
@@ -539,6 +573,8 @@ def cmd_ood(args) -> int:
 
 def _ood_cell(args, chain, snr, mode):
     """Scores the chain on one (snr, freq mode) cell; returns the rows."""
+    from .signalnet import estimator_forward_batch
+
     bits, m = args.bits_int, args.m
     cell = _cell_examples(args, bits, m, snr, _TAG_OOD,
                           freq_mode=FREQ_MODES[mode])
@@ -551,6 +587,10 @@ def _ood_cell(args, chain, snr, mode):
 # --------------------------------------------------------------------------
 
 def cmd_thresholds(args) -> int:
+    from .thresholds import (amplitude_threshold, detection_threshold,
+                             frequency_threshold, mean_frequency_estimator,
+                             phase_threshold)
+
     M, N = args.M, args.N
     mhat, det = detection_threshold(M)
     amp_mean, amp_thr = amplitude_threshold()
@@ -611,7 +651,9 @@ def build_parser() -> _Parser:
                    help="draw per-example SNR uniform in [snr-min, snr-max]")
     g.add_argument("--freq-mode", default="in_dist",
                    choices=list(FREQ_MODES))
-    g.set_defaults(func=cmd_generate)
+    # the SNR-range flags apply only with --snr-spread true; None tells a
+    # given flag from an unset one
+    g.set_defaults(func=cmd_generate, snr_min=None, snr_max=None)
 
     t = sub.add_parser("train", help="train models")
     _add_shared(t)
@@ -624,9 +666,10 @@ def build_parser() -> _Parser:
     t.add_argument("--m", type=int, default=None)
     t.add_argument("--samples", type=int, default=None)
     t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    t.add_argument("--lr", type=float, default=TrainConfig.lr)
-    t.add_argument("--patience", type=int, default=TrainConfig.patience)
+    # None keeps TrainConfig's default (see _train_config)
+    t.add_argument("--batch-size", type=int, default=None)
+    t.add_argument("--lr", type=float, default=None)
+    t.add_argument("--patience", type=int, default=None)
     # None tells an SNR flag given alongside --data from an unset one
     t.set_defaults(func=cmd_train, snr_min=None, snr_max=None)
 
@@ -703,7 +746,13 @@ def _set_heap_policy() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        if argv[:1] == ["train"]:
+            # imported before the parser is built: imported after the
+            # arguments were parsed, signalnet left the heap laid out so that
+            # `train --data` peaked about 0.3 MB higher (median of 30 runs)
+            from . import signalnet  # noqa: F401
         args = build_parser().parse_args(argv)
         _postprocess(args)
         _set_heap_policy()

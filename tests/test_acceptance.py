@@ -24,7 +24,8 @@ import numpy.testing as npt
 import pytest
 
 from gradcheck import finite_diff_check
-from oracles import add_noise, normalize_power, synthesize, to_iq
+from oracles import (add_noise, draw_parameters, normalize_power, synthesize,
+                     to_iq)
 from qsine.classical import aic_mdl_detect, classical_estimate
 from qsine.harness import _TAG_OOD, _cell_examples, build_parser, main
 from qsine.losses import detection_loss
@@ -36,8 +37,7 @@ from qsine.signalnet import (SinusoidEstimator, _mean_count_loss,
                              build_detection_network, build_estimator,
                              detect_count_batch, detection_batch_grads,
                              estimator_batch_grads, estimator_forward_batch)
-from qsine.signals import (GenConfig, ParameterSet, draw_parameters,
-                           make_dataset, substream)
+from qsine.signals import GenConfig, ParameterSet, make_dataset, substream
 from qsine.thresholds import (amplitude_threshold, detection_threshold,
                               frequency_threshold, mean_frequency_estimator,
                               phase_threshold)

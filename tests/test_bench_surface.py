@@ -55,6 +55,29 @@ def test_span_targets_resolve():
         assert hasattr(getattr(nn, kind), method), (kind, method)
 
 
+def test_spans_see_the_calls_of_lazily_imported_modules(tmp_path, capsys):
+    # the harness imports signalnet only inside `train` and looks its names up
+    # at call time, so the wrappers the tracer sets on module attributes
+    # still record those calls
+    from qsine.harness import main
+
+    spans = _spans()
+    tracer = spans.Tracer()
+    wrappers = spans.Instrumented(tracer)
+    try:
+        base = str(tmp_path / "ds")
+        assert main(["generate", "--count", "40", "--seed", "1", "--out", base]) == 0
+        assert main(["train", "--task", "detection", "--data", base, "--epochs", "1",
+                     "--out", str(tmp_path / "det.ckpt")]) == 0
+    finally:
+        wrappers.restore()
+    for name in ("signals.make_dataset", "signals.save_dataset", "signals.load_dataset",
+                 "signalnet.train_detection", "nn.checkpoint.save"):
+        assert tracer.calls[name] == 1, name
+    assert tracer.counts["signals.make_dataset.frames"] == 40
+    assert tracer.calls["nn.Adam.step"] >= 1
+
+
 @pytest.mark.parametrize("name", ["run.py", "test_checks.py"])
 def test_imported_names_resolve(name):
     names = _imported_names(BENCH / name)

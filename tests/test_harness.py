@@ -160,6 +160,28 @@ class TestGenerateCommand:
         assert freqs.max() > 0.3
         assert np.all(freqs < 0.5)
 
+    @pytest.mark.parametrize("flag", ["--snr-min", "--snr-max"])
+    def test_snr_range_flags_need_the_spread(self, capsys, tmp_path, flag):
+        # without --snr-spread true every frame is at --snr, so a range flag
+        # would go unread
+        code, _, err = _run(capsys, ["generate", "--out", str(tmp_path / "ds"),
+                                     "--count", "4", flag, "5"])
+        assert code == 2
+        assert f"{flag} applies only with --snr-spread true" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, lo, hi", [
+        ([], -10.0, 10.0), (["--snr-min", "5"], 5.0, 10.0),
+        (["--snr-max", "-4"], -10.0, -4.0)])
+    def test_spread_range_bound_by_bound(self, capsys, tmp_path, flags, lo, hi):
+        # a range flag left out keeps its default bound
+        base = str(tmp_path / "ds")
+        code, _, _ = _run(capsys, ["generate", "--out", base, "--count", "300",
+                                   "--seed", "3", "--snr-spread", "true", *flags])
+        assert code == 0
+        snrs = load_dataset(base)[1].snr_db
+        assert lo <= snrs.min() < lo + 1 and hi - 1 < snrs.max() <= hi
+
     @pytest.mark.parametrize("mode", ["in_distribution", "ood_uniform"])
     def test_freq_mode_takes_only_the_ood_csv_spellings(self, capsys, tmp_path, mode):
         base = tmp_path / "ds"
@@ -279,6 +301,21 @@ class TestExitCodes:
         assert code == 1
         assert f"unrecognized arguments: {flag} {value}" in err
         assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--count", "2"],
+        ["train", "--task", "detection", "--samples", "8", "--epochs", "1"],
+        ["train", "--task", "estimator", "--m", "1", "--samples", "8",
+         "--epochs", "1"],
+        ["eval", "--algorithms", "mdl", "--n", "2", "--snr-max", "-10"],
+        ["ood", "--est-ckpt", "est.ckpt", "--n", "2"],
+    ])
+    def test_negative_seed_names_the_flag(self, capsys, tmp_path, argv):
+        code, _, err = _run(capsys, [*argv, "--seed", "-1",
+                                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "--seed must be >= 0, got -1" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_version_exits_zero(self, capsys):
         code, out, _ = _run(capsys, ["--version"])
@@ -557,7 +594,8 @@ class TestEvalCommand:
                                                   monkeypatch, bundle_b3_dir):
         # nn_detect and signalnet score the same counts; the harness must
         # not run the detector twice on a cell. Cells may run in worker
-        # processes, so each call appends its row count to a file.
+        # processes, so each call appends its row count to a file. The
+        # harness looks the function up in signalnet when it calls it.
         log = tmp_path / "calls.txt"
         real = signalnet.detect_count_batch
 
@@ -566,7 +604,6 @@ class TestEvalCommand:
                 fh.write(f"{len(X)}\n")
             return real(net, X, *a, **kw)
 
-        monkeypatch.setattr(harness, "detect_count_batch", counting)
         monkeypatch.setattr(signalnet, "detect_count_batch", counting)
         out = tmp_path / "joint.csv"
         argv = ["eval", "--out", str(out), "--n", "5", "--bits", "3",
@@ -859,6 +896,29 @@ class TestTrainCommand:
             assert message in err, task
             assert list(tmp_path.iterdir()) == [], task
 
+    @pytest.mark.parametrize("task", [["detection"], ["bundle", "--m-max", "2"]])
+    def test_m_applies_only_to_the_estimator(self, capsys, tmp_path, task):
+        code, _, err = _run(capsys, [
+            "train", "--task", *task, "--m", "3", "--samples", "40",
+            "--epochs", "0", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"--m does not apply with --task {task[0]}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unset_training_flags_keep_the_config_defaults(self):
+        parse = harness.build_parser().parse_args
+        base = ["train", "--task", "detection", "--out", "c.ckpt"]
+        fields = ("lr", "batch_size", "patience", "detection_epochs",
+                  "estimator_epochs")
+        default = signalnet.TrainConfig()
+        cfg = harness._train_config(parse(base))
+        assert [getattr(cfg, f) for f in fields] == [getattr(default, f)
+                                                     for f in fields]
+        cfg = harness._train_config(parse([
+            *base, "--lr", "0.5", "--batch-size", "4", "--patience", "2",
+            "--epochs", "3"]))
+        assert [getattr(cfg, f) for f in fields] == [0.5, 4, 2, 3, 3]
+
     def test_estimator_requires_m(self, capsys, tmp_path):
         code, _, err = _run(capsys, [
             "train", "--task", "estimator", "--out",
@@ -915,6 +975,11 @@ def _cli_env(**overrides) -> dict:
     return env
 
 
+# modules that neither `generate` nor `--version` runs
+_RUN_MODULES = frozenset({"qsine.classical", "qsine.losses", "qsine.signalnet",
+                          "qsine.nn", "qsine.thresholds"})
+
+
 class TestProcessSettings:
     def test_blas_pinned_unless_caller_chose(self):
         probe = ("import os, qsine.harness; print(','.join(os.environ[v] "
@@ -952,6 +1017,38 @@ class TestProcessSettings:
         if got["libcrypto"] is None:
             pytest.skip("no /proc/self/maps to read the mappings from")
         assert not got["libcrypto"]
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["generate", "--count", "20", "--out", "{tmp}/g"], _RUN_MODULES),
+        (["--version"], _RUN_MODULES),
+        (["eval", "--algorithms", "aic,mdl", "--bits", "3", "--n", "2",
+          "--snr-min", "0", "--snr-max", "0", "--out", "{tmp}/e.csv"],
+         {"qsine.signalnet", "qsine.nn"}),
+        (None, {"qsine.signalnet", "qsine.nn"}),
+    ])
+    def test_commands_import_only_what_they_run(self, tmp_path, argv, absent):
+        # one CPU, so that eval's cells run in the probed process; argv None
+        # only parses a train command line
+        call = ("build_parser().parse_args(['train', '--task', 'detection', "
+                "'--out', 'c'])" if argv is None else
+                f"main({[a.format(tmp=tmp_path) for a in argv]!r})")
+        probe = ("import json, sys\n"
+                 "from qsine import harness\n"
+                 "from qsine.harness import build_parser, main\n"
+                 "harness.available_cpus = lambda: 1\n"
+                 f"{call}\n"
+                 "print(json.dumps(sorted(m for m in sys.modules\n"
+                 "                        if m.split('.')[0] == 'qsine')))\n")
+        run = subprocess.run([sys.executable, "-c", probe], env=_cli_env(),
+                             text=True, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE)
+        assert run.returncode == 0, run.stderr
+        loaded = set(json.loads(run.stdout.splitlines()[-1]))
+        assert "qsine.signals" in loaded or argv is None
+        assert not loaded & absent, sorted(loaded & absent)
+        if absent is _RUN_MODULES:
+            assert loaded == {"qsine", "qsine.harness", "qsine.quantize",
+                              "qsine.signals", "qsine.tones"}
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap policy is set through glibc's mallopt")

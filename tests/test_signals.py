@@ -5,14 +5,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import add_noise, normalize_power, synthesize, to_iq
+from oracles import (add_noise, draw_parameters, normalize_power, synthesize,
+                     to_iq, validate)
 from qsine import signals, tones
 from qsine.quantize import make_quantizer, quantize
 from qsine.signals import (
     Dataset,
     GenConfig,
     ParameterSet,
-    draw_parameters,
     load_dataset,
     make_dataset,
     save_dataset,
@@ -84,8 +84,7 @@ class TestDrawParameters:
     def test_label_invariants_hold(self):
         cfg = GenConfig(seed=11)
         for i in range(300):
-            p = draw_parameters(cfg, substream(11, i))
-            p.validate()
+            p = validate(draw_parameters(cfg, substream(11, i)))
             assert 1 <= p.m <= cfg.M
             assert np.all(p.amps >= 0.1) and np.all(p.amps <= 1.0)
             assert np.all(np.diff(p.freqs) > 0)
@@ -185,6 +184,10 @@ def _reference_example(cfg, index, spec):
 
 GROUPED_CONFIGS = {
     "in_dist_mixed": dict(seed=101),
+    # eval cells draw from _cell_seed's 64-bit seeds: two entropy words
+    "two_word_seed_spread": dict(seed=2**63 + 109, snr_range=(0.0, 20.0)),
+    "two_word_seed_ood_fixed_m": dict(seed=2**32, m_fixed=5, bits=2,
+                                      freq_mode="ood_uniform"),
     "ood_mixed_1bit": dict(seed=102, bits=1, freq_mode="ood_uniform"),
     "in_dist_spread_fixed_m": dict(seed=103, m_fixed=3, snr_range=(-10.0, 10.0)),
     "ood_spread_mixed": dict(seed=104, freq_mode="ood_uniform",
@@ -196,22 +199,32 @@ GROUPED_CONFIGS = {
 }
 
 
+def _assert_matches_reference(cfg, ds):
+    spec = make_quantizer(cfg.bits)
+    for i, ex in enumerate(ds):
+        x, params, snr_db = _reference_example(cfg, i, spec)
+        assert ex.x.dtype == np.float64
+        assert ex.x.tobytes() == x.tobytes(), i
+        assert ex.label.m == params.m
+        for got, want in ((ex.label.amps, params.amps),
+                          (ex.label.freqs, params.freqs),
+                          (ex.label.phases, params.phases)):
+            assert got.tobytes() == want.tobytes(), i
+        assert ex.snr_db == snr_db
+
+
 class TestGroupedGeneration:
     @pytest.mark.parametrize("name", sorted(GROUPED_CONFIGS))
     def test_bytes_match_frame_by_frame_pipeline(self, name):
         cfg = GenConfig(**GROUPED_CONFIGS[name])
-        spec = make_quantizer(cfg.bits)
-        ds = make_dataset(cfg, 120)
-        for i, ex in enumerate(ds):
-            x, params, snr_db = _reference_example(cfg, i, spec)
-            assert ex.x.dtype == np.float64
-            assert ex.x.tobytes() == x.tobytes(), i
-            assert ex.label.m == params.m
-            for got, want in ((ex.label.amps, params.amps),
-                              (ex.label.freqs, params.freqs),
-                              (ex.label.phases, params.phases)):
-                assert got.tobytes() == want.tobytes(), i
-            assert ex.snr_db == snr_db
+        _assert_matches_reference(cfg, make_dataset(cfg, 120))
+
+    @pytest.mark.parametrize("seed", [2, 2**64 - 3])
+    def test_rows_past_a_seed_block_match_the_pipeline(self, seed):
+        # the rows of the second and third seeding blocks, one or two
+        # entropy words of seed
+        cfg = GenConfig(seed=seed, snr_range=(-10.0, 10.0))
+        _assert_matches_reference(cfg, make_dataset(cfg, 2 * signals.SEED_BLOCK + 5))
 
     def test_chunked_groups_give_the_same_bytes(self, monkeypatch):
         cfg = GenConfig(seed=108, snr_range=(-5.0, 5.0))
@@ -226,11 +239,47 @@ class TestGroupedGeneration:
             with pytest.raises(ValueError, match="finite or \\+inf"):
                 make_dataset(GenConfig(seed=1, snr_db=snr), 3)
 
+    def test_non_finite_snr_range_rejected(self):
+        for lo, hi in ((0.0, math.inf), (-math.inf, math.inf), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="snr_range"):
+                GenConfig(seed=1, snr_range=(lo, hi))
+
     def test_all_zero_frame_rejected(self):
-        y = np.ones((3, 8), dtype=np.complex128)
+        y = np.ones((3, 8, 2))
         y[1] = 0.0
         with pytest.raises(ValueError, match="all-zero"):
             signals._normalize_rows(y)
+
+    @pytest.mark.parametrize("count", [0, 2**32 + 1])
+    def test_count_bounds(self, count):
+        # rows at or above 2**32 would need a second entropy word
+        with pytest.raises(ValueError, match="count must be in 1..2\\*\\*32"):
+            make_dataset(GenConfig(seed=1), count)
+
+    @pytest.mark.parametrize("case", ["count", "range", "order", "phase"])
+    def test_label_check_names_the_first_bad_row(self, case):
+        # the dataset-wide check raises what the per-frame check raises for
+        # the first bad row
+        ds = make_dataset(GenConfig(seed=120, m_fixed=3), 5)
+        counts, freqs, phases = ds.counts.copy(), ds.freqs.copy(), ds.phases.copy()
+        signals._check_labels(counts, freqs, phases)
+        row = {"count": 2, "range": 1, "order": 3, "phase": 2}[case]
+        if case == "count":
+            counts[row] = 0
+        elif case == "range":
+            freqs[row, 2] = 0.5
+        elif case == "order":
+            freqs[row, 1] = freqs[row, 0]
+        else:
+            phases[row, 0] = 2 * math.pi
+        freqs[4], phases[4] = freqs[4, ::-1].copy(), -phases[4]  # a later bad row
+        with pytest.raises(ValueError) as got:
+            signals._check_labels(counts, freqs, phases)
+        m = int(counts[row])
+        with pytest.raises(ValueError) as want:
+            validate(ParameterSet(m=m, amps=ds.amps[row, :m],
+                                  freqs=freqs[row, :m], phases=phases[row, :m]))
+        assert str(got.value) == str(want.value)
 
 
 class TestDataset:
@@ -298,6 +347,27 @@ class TestDatasetFiles:
         open(base + ".samples.f32", "wb").write(raw[: len(raw) // 2])
         with pytest.raises(ValueError):
             load_dataset(base)
+
+
+class TestSubstreamStates:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_one_pass_gives_the_pcg64_seeding(self, seed):
+        rows = [0, 1, 31, 32, 2**32 - 1]
+        got = [signals._substream_states(seed, r, r + 1)[0] for r in rows]
+        got += signals._substream_states(seed, 0, 33)[31:]
+        want = []
+        for r in [*rows, 31, 32]:
+            state = np.random.PCG64(np.random.SeedSequence([seed, r])).state
+            want.append((state["state"]["state"], state["state"]["inc"]))
+        assert got == want
+
+    def test_rows_need_one_word_and_seeds_no_sign(self):
+        with pytest.raises(ValueError, match="32-bit word"):
+            signals._substream_states(0, 2**32 - 1, 2**32 + 1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            signals._substream_states(-1, 0, 1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            make_dataset(GenConfig(seed=-1), 2)
 
 
 def test_substream_independence():

@@ -3,8 +3,10 @@
     python3 tools/output_digests.py                      # this checkout
     python3 tools/output_digests.py --checkout <other>   # another checkout
 
-Runs `generate` (one dataset noiseless, `--snr inf`, and one of 500 frames
-of one count, which crosses many 32-frame groups), a tiny `train --task
+Runs `generate` (one dataset noiseless, `--snr inf`, one of 500 frames
+of one count, which crosses many 32-frame groups, and one from a seed of
+two 32-bit words, as eval cells' seeds are, whose 300 frames cross a
+256-row seeding block), a tiny `train --task
 detection`, `--task estimator` and `--task bundle --m-max 2`, an estimator
 trained on 2,000 frames (200 validation rows), a detector and an m = 3
 estimator trained with `--data` on the script's own datasets, `eval` of
@@ -51,6 +53,8 @@ def script(out: Path) -> list[list[str]]:
          "--out", out / "gen_noiseless"],
         ["generate", "--bits", "3", "--count", "500", "--m", "3", "--snr-spread", "true",
          "--seed", "19", "--out", out / "gen_m3"],
+        ["generate", "--bits", "3", "--count", "300", "--seed", "5000000000",
+         "--out", out / "gen_seed2w"],
         # the load-then-train path of the benchmark's train workload
         ["train", "--task", "detection", *FIT, "--data", out / "gen", "--out", out / "det_data.ckpt"],
         ["train", "--task", "estimator", "--m", "3", *FIT, "--data", out / "gen_m3",
