@@ -12,8 +12,9 @@ Every command is a deterministic function of its flags and seed: test cells
 draw from per-cell substreams, rows are sorted before writing, and floats are
 serialized with repr, so reruns are byte-identical. ``eval`` and ``ood``
 score their cells in forked worker processes, one per CPU of the process's
-affinity set; the bytes do not depend on the worker count. Exit codes:
-0 success, 1 usage error, 2 data/model error.
+affinity set; the bytes do not depend on the worker count. Every flag is
+checked once, by ``_check_flags``, before any work: a bad value exits 2 and
+names its flag. Exit codes: 0 success, 1 usage error, 2 data/model error.
 
 Each command imports the modules it runs when it runs: ``generate`` and
 ``--version`` load only signals, quantize and tones; ``eval`` loads
@@ -95,10 +96,6 @@ def _snr_key(snr: float) -> int:
 
 
 def _snr_grid(args) -> list[float]:
-    if args.snr_step <= 0:
-        raise ValueError("--snr-step must be positive")
-    if args.snr_max < args.snr_min:
-        raise ValueError("--snr-max must be >= --snr-min")
     n = int(math.floor((args.snr_max - args.snr_min) / args.snr_step + 1e-9)) + 1
     return [round(args.snr_min + i * args.snr_step, 6) for i in range(n)]
 
@@ -110,8 +107,6 @@ def _bits_list(text: str) -> list[int]:
         raise ValueError(f"--bits expects comma-separated integers, got {text!r}")
     if not vals:
         raise ValueError("--bits list is empty")
-    if min(vals) < 1:
-        raise ValueError(f"--bits must be >= 1, got {text!r}")
     return vals
 
 
@@ -123,14 +118,71 @@ def _spread_snr_range(args) -> tuple[float, float]:
             hi if args.snr_max is None else args.snr_max)
 
 
-def _check_least(args, least: dict[str, int]) -> None:
-    """Rejects a flag below its least value; least maps a flag's dest to it,
-    and a flag left at None passes."""
-    for flag, low in least.items():
-        value = getattr(args, flag)
-        if value is not None and value < low:
-            raise ValueError(
-                f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
+# each flag's least value, by dest: the same in every command that has it
+LEAST_VALUES = {"seed": 0, "m_max": 1, "frame_len": 2, "n": 1, "count": 1,
+                "epochs": 0, "patience": 1, "samples": 1, "M": 1, "N": 2}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _check_flags(args) -> None:
+    """Rejects, naming the flag, the first value in the order below that its
+    command would refuse or leave unread; a rule on a flag that the command
+    lacks, or left unset (None), passes. Runs before any work."""
+    f = vars(args)
+    for dest, low in LEAST_VALUES.items():
+        if f.get(dest) is not None and f[dest] < low:
+            raise ValueError(f"{_flag(dest)} must be >= {low}, got {f[dest]}")
+    task, m, m_max, frame_len, data, lr, snr = (f.get(k) for k in (
+        "task", "m", "m_max", "frame_len", "data", "lr", "snr"))
+    snr_range = [d for d in ("snr_min", "snr_max") if f.get(d) is not None]
+    frame_flags = ["samples"] * (f.get("samples") is not None) + snr_range
+    lo, hi = _spread_snr_range(args) if "snr_min" in f else SPREAD_SNR_RANGE
+    every = 4 if task == "estimator" else 16  # a chain's or the detector's N
+    bits, algorithms = f.get("bits", [1]), f.get("algorithms", set())
+    unknown = sorted(algorithms - set(ALL_ALGORITHMS))
+    rules = [
+        (task == "estimator" and m is None,
+         "--m is required for --task estimator"),
+        (task in ("detection", "bundle") and m is not None,
+         f"--m does not apply with --task {task}: it covers every count up "
+         f"to --m-max {m_max}"),
+        (m is not None and not 1 <= m <= m_max,
+         f"--m must be in [1, --m-max] = [1, {m_max}], got {m}"),
+        *((data is not None, f"{_flag(d)} does not apply with --data: {data} "
+           "fixes the frames") for d in frame_flags),
+        (lr is not None and not (math.isfinite(lr) and lr > 0),
+         f"--lr must be finite and > 0, got {lr}"),
+        *((f.get("snr_spread") is False, f"{_flag(d)} applies only with "
+           "--snr-spread true") for d in snr_range),
+        (not f.get("snr_step", 1.0) > 0, "--snr-step must be positive"),
+        *((not math.isfinite(f[d]), f"{_flag(d)} must be finite, got {f[d]}")
+          for d in snr_range),
+        (snr is not None and not (math.isfinite(snr) or snr == math.inf),
+         f"--snr must be finite or +inf, got {snr}"),
+        (hi < lo, f"--snr-max must be >= --snr-min, got {hi} < {lo}"),
+        (task is not None and frame_len % every != 0, "--frame-len must be "
+         f"divisible by {every} for --task {task}, got {frame_len}"),
+        (args.command != "eval" and len(bits) != 1,
+         f"{args.command} takes a single --bits value, got {bits}"),
+        (min(bits) < 1,
+         f"--bits must be >= 1, got {','.join(map(str, bits))!r}"),
+        (bool(unknown), f"unknown algorithms in --algorithms: {unknown}"),
+        (not f.get("bundle") and bool(MODEL_ALGORITHMS & algorithms),
+         "model-based algorithms need --bundle <dir with signalnet.json>"),
+    ]
+    for bad, message in rules:
+        if bad:
+            raise ValueError(message)
+    if (PERIODOGRAM_ALGORITHMS | EIGEN_ALGORITHMS) & algorithms:
+        from . import classical  # only when a selected algorithm reads it
+
+        if PERIODOGRAM_ALGORITHMS & algorithms:
+            classical.check_nfft(args.nfft, args.frame_len)
+        if EIGEN_ALGORITHMS & algorithms:
+            classical.check_window(args.L, args.m_max, args.frame_len)
 
 
 def _check_meta(path, meta: dict, flags: dict) -> None:
@@ -149,19 +201,12 @@ def _csv_text(header: list[str], rows: list[tuple]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell_str(v) for v in row])
+    writer.writerows(rows)  # floats as repr, the shortest round-trip text
     return buf.getvalue()
 
 
 def _write_csv(path: str, header: list[str], rows: list[tuple]):
     Path(path).write_text(_csv_text(header, rows))
-
-
-def _cell_str(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _db(value: float) -> float:
@@ -234,12 +279,6 @@ def _sweep(args, header: list[str], rows: list[tuple], cells: list[tuple]):
 # --------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    _check_least(args, {"seed": 0, "count": 1})
-    if not args.snr_spread:
-        for flag in ("snr_min", "snr_max"):
-            if getattr(args, flag) is not None:
-                raise ValueError(f"--{flag.replace('_', '-')} applies only "
-                                 "with --snr-spread true")
     cfg = GenConfig(
         N=args.frame_len, M=args.m_max, bits=args.bits_int, seed=args.seed,
         m_fixed=args.m, freq_mode=FREQ_MODES[args.freq_mode],
@@ -313,52 +352,33 @@ def _write_log(path: str, history: list[dict]):
     _write_csv(path, ["epoch", "train_loss", "val_loss", "lr"], rows)
 
 
-def _check_train_flags(args) -> None:
-    """Rejects flags that the task or --data would ignore, and training
-    flags out of range; --epochs 0 writes an untrained checkpoint."""
-    if args.task == "estimator" and args.m is None:
-        raise ValueError("--m is required for --task estimator")
-    if args.task != "estimator" and args.m is not None:
-        raise ValueError(f"--m does not apply with --task {args.task}: it "
-                         f"covers every count up to --m-max {args.m_max}")
-    if args.data is not None:
-        for flag in ("samples", "snr_min", "snr_max"):
-            if getattr(args, flag) is not None:
-                raise ValueError(f"--{flag.replace('_', '-')} does not apply "
-                                 f"with --data: {args.data} fixes the frames")
-    _check_least(args, {"epochs": 0, "patience": 1, "samples": 1, "seed": 0})
-    if args.lr is not None and not (math.isfinite(args.lr) and args.lr > 0):
-        raise ValueError(f"--lr must be finite and > 0, got {args.lr}")
-
-
 def cmd_train(args) -> int:
-    _check_train_flags(args)
     from .signalnet import (SignalNetModel, save_estimator, save_network,
                             save_signalnet)
 
     cfg = _train_config(args)
     if args.task == "bundle":
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        # every model trains before --out is made: a failed run writes nothing
         det, history = _train_model(args, cfg, None)
-        _write_log(str(out / "train_detection.log.csv"), history)
+        logs = {"detection": history}
         estimators = {}
         for m in range(1, args.m_max + 1):
-            estimators[m], history = _train_model(args, cfg, m)
-            _write_log(str(out / f"train_est_m{m}.log.csv"), history)
+            estimators[m], logs[f"est_m{m}"] = _train_model(args, cfg, m)
         model = SignalNetModel(detection=det, estimators=estimators,
                                N=args.frame_len, M=args.m_max,
                                bits=args.bits_int)
-        print(f"wrote {save_signalnet(model, out)}")
+        manifest = save_signalnet(model, args.out)  # makes --out
+        for name, history in logs.items():
+            _write_log(str(manifest.parent / f"train_{name}.log.csv"), history)
+        print(f"wrote {manifest}")
         return 0
+    net, history = _train_model(args, cfg, args.m)  # detection: --m unset
     if args.task == "detection":
-        net, history = _train_model(args, cfg, None)
         save_network(net, args.out,
                      meta={"task": "detection", "bits": args.bits_int,
                            "N": args.frame_len, "M": args.m_max})
     else:
-        est, history = _train_model(args, cfg, args.m)
-        save_estimator(est, args.out, bits=args.bits_int)
+        save_estimator(net, args.out, bits=args.bits_int)
     _write_log(args.out + ".log.csv", history)
     print(f"wrote {args.out} ({len(history)} epochs trained)")
     return 0
@@ -382,17 +402,13 @@ def _estimate_rows(args, algo: str, bits: int, m: int, snr: float,
                    cell: Dataset, est, *tail) -> list[tuple]:
     """The metric rows of a count-m cell's estimates est = (A, F, P), each
     ending with tail; float32 network heads are scored in float64."""
-    from .losses import normalized_chamfer_batch
-    from .thresholds import estimation_thresholds
-
     A, F, P = (np.asarray(h, dtype=np.float64) for h in est)
     At, Ft, Pt = cell.amps, cell.freqs, cell.phases
-    cham = normalized_chamfer_batch((At, Ft, Pt), (A, F, P),
-                                    estimation_thresholds(m, args.frame_len))
     metrics = (("freq_mse_db", _db(float(np.mean((F - Ft) ** 2)))),
                ("amp_mse_db", _db(float(np.mean((A - At) ** 2)))),
                ("phase_mse", float(np.mean((P - Pt) ** 2))),
-               ("chamfer_norm", float(np.mean(cham))))
+               ("chamfer_norm", _chamfer_norm(cell, cell.counts, (A, F, P),
+                                              args.frame_len)))
     return [(algo, bits, m, snr, metric, value, len(cell), args.seed, *tail)
             for metric, value in metrics]
 
@@ -406,10 +422,11 @@ def _chamfer_norm(cell: Dataset, est_counts, est, N: int) -> float:
 
     cham = np.empty(len(cell))
     truth = (cell.amps, cell.freqs, cell.phases)
-    for m in np.unique(cell.counts).tolist():
+    # the counts present: np.unique would import numpy.ma (7.5 ms a process)
+    for m in np.flatnonzero(np.bincount(cell.counts)).tolist():
         thr = estimation_thresholds(m, N)
         of_m = cell.counts == m
-        for k in np.unique(est_counts[of_m]).tolist():
+        for k in np.flatnonzero(np.bincount(est_counts[of_m])).tolist():
             rows = np.flatnonzero(of_m & (est_counts == k))
             cham[rows] = normalized_chamfer_batch(
                 tuple(a[rows, :m] for a in truth),
@@ -435,7 +452,6 @@ def _threshold_rows(args, bits: int, snr: float) -> list[tuple]:
 
 
 def cmd_eval(args) -> int:
-    _check_least(args, {"n": 1, "m_max": 1, "seed": 0})
     grid = _snr_grid(args)
     # the modules the cells call are imported here, before the workers fork
     bundle = None
@@ -445,24 +461,15 @@ def cmd_eval(args) -> int:
         bundle = load_signalnet(args.bundle)
         _check_meta(args.bundle, {"N": bundle.N},
                     {"N": ("--frame-len", args.frame_len)})
-    algorithms = _select_algorithms(args, bundle)
-    if PERIODOGRAM_ALGORITHMS & algorithms:
-        from .classical import check_nfft
-
-        check_nfft(args.nfft, args.frame_len)
-    if EIGEN_ALGORITHMS & algorithms:
-        from .classical import check_window
-
-        check_window(args.L, args.m_max, args.frame_len)
     rows: list[tuple] = []
     cells: list[tuple] = []
     for bits in args.bits:
         qspec = make_quantizer(bits)
-        wanted = algorithms
+        wanted = args.algorithms
         if MODEL_ALGORITHMS & wanted and bundle.bits != bits:
             print(f"note: skipping model-based algorithms at bits={bits} "
                   f"(bundle is for bits={bundle.bits})", file=sys.stderr)
-            wanted = algorithms - MODEL_ALGORITHMS
+            wanted = wanted - MODEL_ALGORITHMS
         for snr in grid:
             rows.extend(_threshold_rows(args, bits, snr))
             for m in range(1, args.m_max + 1):
@@ -475,19 +482,6 @@ def cmd_eval(args) -> int:
             cells.append((_eval_joint_cell, (args, bits, snr, qspec, bundle,
                                              wanted)))
     return _sweep(args, EVAL_HEADER, rows, cells)
-
-
-def _select_algorithms(args, bundle) -> set[str]:
-    names = set(ALL_ALGORITHMS)
-    if args.algorithms != "all":
-        names = {a.strip() for a in args.algorithms.split(",") if a.strip()}
-        unknown = names - set(ALL_ALGORITHMS)
-        if unknown:
-            raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        if bundle is None and MODEL_ALGORITHMS & names:
-            raise ValueError(
-                "model-based algorithms need --bundle <dir with signalnet.json>")
-    return names if bundle else names - MODEL_ALGORITHMS
 
 
 def _eval_estimator_cell(args, bits, m, snr, qspec, chain, periodogram):
@@ -557,7 +551,6 @@ def _eval_joint_cell(args, bits, snr, qspec, bundle, wanted):
 # --------------------------------------------------------------------------
 
 def cmd_ood(args) -> int:
-    _check_least(args, {"n": 1, "m_max": 1, "seed": 0})
     from .signalnet import load_estimator
 
     est, meta = load_estimator(args.est_ckpt)
@@ -704,16 +697,15 @@ def build_parser() -> _Parser:
 
 def _postprocess(args) -> None:
     if hasattr(args, "bits"):
-        vals = _bits_list(args.bits)
-        if args.command == "eval":
-            args.bits = vals
-        else:
-            if len(vals) != 1:
-                raise ValueError(
-                    f"{args.command} takes a single --bits value, got {vals}")
-            args.bits_int = vals[0]
+        args.bits = _bits_list(args.bits)
+        args.bits_int = args.bits[0]  # read by the one-value commands
     if hasattr(args, "snr_spread"):
         args.snr_spread = args.snr_spread == "true"
+    if hasattr(args, "algorithms"):
+        names = {a.strip() for a in args.algorithms.split(",") if a.strip()}
+        # all: every algorithm that applies; the model-based need a bundle
+        args.algorithms = names if args.algorithms != "all" else (
+            set(ALL_ALGORITHMS) - (set() if args.bundle else MODEL_ALGORITHMS))
 
 
 # glibc's mallopt parameter codes (malloc.h)
@@ -755,6 +747,7 @@ def main(argv: list[str] | None = None) -> int:
             from . import signalnet  # noqa: F401
         args = build_parser().parse_args(argv)
         _postprocess(args)
+        _check_flags(args)
         _set_heap_policy()
         # numpy.random imports secrets and so hashlib, whose OpenSSL backend
         # maps libcrypto (3.4 MB) into the process; qsine seeds every

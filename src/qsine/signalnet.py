@@ -343,15 +343,19 @@ def _detection_probs(net: Network, X: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _chunked_mean_loss(n: int, chunk: int, loss_of) -> float:
+    # the row-weighted mean of loss_of(rows) over chunks of n rows
+    total = 0.0
+    for i in range(0, n, chunk):
+        rows = slice(i, min(i + chunk, n))
+        total += loss_of(rows) * (rows.stop - i)
+    return total / n
+
+
 def _detection_loss_eval(net: Network, X: np.ndarray, counts: np.ndarray) -> float:
     probs = _detection_probs(net, X)
-    total = 0.0
-    for i in range(0, len(X), DETECTION_LOSS_ROWS):
-        rows = slice(i, i + DETECTION_LOSS_ROWS)
-        p = probs[rows]
-        loss, _ = _mean_count_loss(p, counts[rows])
-        total += loss * len(p)
-    return total / len(X)
+    return _chunked_mean_loss(len(X), DETECTION_LOSS_ROWS, lambda r:
+                              _mean_count_loss(probs[r], counts[r])[0])
 
 
 def train_detection(dataset: Dataset, cfg: TrainConfig, M: int = 5):
@@ -415,14 +419,10 @@ def estimator_batch_grads(est: SinusoidEstimator, X, At, Ft, Pt):
 
 def _eval_estimator_loss(est: SinusoidEstimator, X, At, Ft, Pt) -> float:
     thr = estimation_thresholds(est.m, est.N)
-    heads = estimator_forward_batch(est, X)
-    total = 0.0
-    for i in range(0, len(X), ESTIMATOR_LOSS_ROWS):
-        rows = slice(i, i + ESTIMATOR_LOSS_ROWS)
-        A, F, P = (h[rows].astype(np.float64) for h in heads)
-        loss, *_ = _eff_loss_and_head_grads(A, F, P, At[rows], Ft[rows], Pt[rows], thr)
-        total += loss * len(A)
-    return total / len(X)
+    A, F, P = (h.astype(np.float64) for h in estimator_forward_batch(est, X))
+    return _chunked_mean_loss(len(X), ESTIMATOR_LOSS_ROWS, lambda r:
+                              _eff_loss_and_head_grads(A[r], F[r], P[r], At[r],
+                                                       Ft[r], Pt[r], thr)[0])
 
 
 def train_estimator(dataset: Dataset, cfg: TrainConfig):

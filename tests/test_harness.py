@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsine import harness, signalnet
+from qsine import harness, signalnet, signals
 from qsine.harness import (
     EVAL_HEADER,
     OOD_HEADER,
@@ -320,6 +320,87 @@ class TestExitCodes:
     def test_version_exits_zero(self, capsys):
         code, out, _ = _run(capsys, ["--version"])
         assert code == 0
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the flags were checked")
+
+
+class TestFlagRules:
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--m", "9"], "--m must be in [1, --m-max] = [1, 5], got 9"),
+        (["generate", "--m-max", "0"], "--m-max must be >= 1, got 0"),
+        (["generate", "--frame-len", "1"], "--frame-len must be >= 2, got 1"),
+        (["generate", "--snr", "nan"], "--snr must be finite or +inf, got nan"),
+        (["generate", "--snr=-inf"], "--snr must be finite or +inf, got -inf"),
+        (["generate", "--snr-spread", "true", "--snr-max", "inf"],
+         "--snr-max must be finite, got inf"),
+        (["generate", "--snr-spread", "true", "--snr-min", "20"],
+         "--snr-max must be >= --snr-min, got 10.0 < 20.0"),
+        (["generate", "--bits", "0"], "--bits must be >= 1, got '0'"),
+        (["train", "--task", "estimator", "--m", "1", "--m-max", "0"],
+         "--m-max must be >= 1, got 0"),
+        (["train", "--task", "bundle", "--frame-len", "1"],
+         "--frame-len must be >= 2, got 1"),
+        (["train", "--task", "detection", "--frame-len", "40"],
+         "--frame-len must be divisible by 16 for --task detection, got 40"),
+        (["train", "--task", "bundle", "--frame-len", "40", "--samples", "20",
+          "--epochs", "0"],
+         "--frame-len must be divisible by 16 for --task bundle, got 40"),
+        (["train", "--task", "estimator", "--m", "1", "--frame-len", "42"],
+         "--frame-len must be divisible by 4 for --task estimator, got 42"),
+        (["train", "--task", "estimator", "--m", "6"],
+         "--m must be in [1, --m-max] = [1, 5], got 6"),
+        (["train", "--task", "detection", "--snr-min", "nan"],
+         "--snr-min must be finite, got nan"),
+        (["train", "--task", "bundle", "--snr-min", "20"],
+         "--snr-max must be >= --snr-min, got 10.0 < 20.0"),
+        (["train", "--task", "estimator", "--m", "2", "--snr-max", "inf"],
+         "--snr-max must be finite, got inf"),
+        (["eval", "--snr-max", "inf"], "--snr-max must be finite, got inf"),
+        (["eval", "--snr-min", "nan"], "--snr-min must be finite, got nan"),
+        (["eval", "--snr-step", "nan"], "--snr-step must be positive"),
+        (["eval", "--frame-len", "1"], "--frame-len must be >= 2, got 1"),
+        (["ood", "--m", "6"], "--m must be in [1, --m-max] = [1, 5], got 6"),
+        (["ood", "--snr-max", "inf"], "--snr-max must be finite, got inf"),
+        (["ood", "--snr-step", "0"], "--snr-step must be positive"),
+        (["ood", "--frame-len", "1"], "--frame-len must be >= 2, got 1"),
+        (["thresholds", "--M", "0"], "--M must be >= 1, got 0"),
+        (["thresholds", "--N", "1"], "--N must be >= 2, got 1"),
+    ])
+    def test_bad_flag_exits_before_any_work(self, capsys, tmp_path,
+                                            monkeypatch, argv, message):
+        for module in (signals, harness):
+            for name in ("make_dataset", "load_dataset"):
+                monkeypatch.setattr(module, name, _must_not_run)
+        monkeypatch.setattr(harness, "_cell_examples", _must_not_run)
+        tail = ["--out", str(tmp_path / "out")]
+        if argv[0] == "ood":
+            tail += ["--est-ckpt", str(tmp_path / "est.ckpt")]
+        code, _, err = _run(capsys, [*argv, *tail])
+        assert code == 2
+        assert f"qsine: error: {message}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("algorithms, imported", [
+        ("nn_est,nn_detect,signalnet", False), ("nn_est,mdl", True)])
+    def test_classical_checks_load_classical_only_for_its_algorithms(
+            self, algorithms, imported):
+        # --nfft and --L are checked by classical's own functions, and only
+        # when a selected algorithm reads them
+        probe = ("import sys\n"
+                 "from qsine.harness import _check_flags, _postprocess, "
+                 "build_parser\n"
+                 "args = build_parser().parse_args(['eval', '--algorithms', "
+                 f"{algorithms!r}, '--bundle', 'b', '--out', 'e.csv'])\n"
+                 "_postprocess(args)\n"
+                 "_check_flags(args)\n"
+                 "print('qsine.classical' in sys.modules)\n")
+        run = subprocess.run([sys.executable, "-c", probe], env=_cli_env(),
+                             text=True, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == [str(imported)]
 
 
 # --------------------------------------------------------------------------
@@ -874,6 +955,19 @@ class TestTrainCommand:
             "--epochs", "1", "--out", str(ckpt)])
         assert code == 2
         assert f"{flag} does not apply with --data" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ds.labels.csv", "ds.samples.f32"]
+
+    def test_failed_bundle_writes_nothing(self, capsys, tmp_path):
+        # the detector and the m=1 chain train; the m=2 chain has no frames
+        base = str(tmp_path / "ds")
+        assert _run(capsys, ["generate", "--out", base, "--count", "40",
+                             "--m", "1", "--m-max", "2", "--seed", "4"])[0] == 0
+        code, _, err = _run(capsys, [
+            "train", "--task", "bundle", "--m-max", "2", "--data", base,
+            "--epochs", "1", "--out", str(tmp_path / "bundle")])
+        assert code == 2
+        assert f"dataset {base} has no examples with m=2" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "ds.labels.csv", "ds.samples.f32"]
 
